@@ -119,7 +119,11 @@ class Tensor:
         """Back-propagate from this tensor.
 
         ``grad`` defaults to 1 for scalar tensors; non-scalar roots must
-        pass an explicit output gradient.
+        pass an explicit output gradient.  Gradients accumulate into the
+        ``.grad`` of *leaf* tensors only (parameters and inputs created
+        with ``requires_grad=True``); interior results of ops keep
+        ``.grad is None``, so a finished backward pass holds no per-node
+        gradient copies.
         """
         if not self.requires_grad:
             raise RuntimeError("called backward() on a tensor without grad")
@@ -165,11 +169,13 @@ class Tensor:
             node_grad = grads.pop(id(node), None)
             if node_grad is None:
                 continue
-            if node.grad is None:
-                node.grad = node_grad.copy()
-            else:
-                node.grad = node.grad + node_grad
             if node._backward is None:
+                # only leaves keep .grad; an interior gradient is consumed
+                # by its closure and freed with the rest of the tape
+                if node.grad is None:
+                    node.grad = node_grad.copy()
+                else:
+                    node.grad = node.grad + node_grad
                 continue
             for parent, parent_grad in node._backward(node_grad):
                 if not parent.requires_grad:
@@ -484,8 +490,18 @@ class Tensor:
         indices = np.asarray(indices, dtype=np.int64)
 
         def backward(grad):
+            # imported here: repro.nn.optim itself imports this module
+            from repro.nn.optim import segment_sum
+
+            rows = np.where(indices < 0, indices + self.shape[0], indices)
+            unique, sums, _ = segment_sum(
+                rows,
+                np.asarray(grad, dtype=self.data.dtype).reshape(
+                    (indices.size,) + self.shape[1:]
+                ),
+            )
             full = np.zeros_like(self.data)
-            np.add.at(full, indices, grad)
+            full[unique] = sums
             return [(self, full)]
 
         return self._make(self.data[indices], (self,), backward)

@@ -22,6 +22,7 @@ import numpy as np
 from repro.graph.heterograph import HeteroGraph, NodeId
 
 from repro.baselines.base import EmbeddingMethod, Embeddings
+from repro.nn.optim import segment_sum
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -209,10 +210,10 @@ class HIN2Vec(EmbeddingMethod):
 def _mean_update(
     matrix: np.ndarray, rows: np.ndarray, grads: np.ndarray, lr: float
 ) -> None:
-    unique, inverse, counts = np.unique(
-        rows, return_inverse=True, return_counts=True
+    """RowSGD's mean update, accumulated in float64 whatever the
+    matrix dtype."""
+    unique, sums, counts = segment_sum(
+        rows, np.asarray(grads, dtype=np.float64)
     )
-    aggregated = np.zeros((unique.size, matrix.shape[1]))
-    np.add.at(aggregated, inverse, grads)
-    aggregated /= counts[:, None]
-    matrix[unique] -= lr * aggregated
+    sums /= counts[:, None]
+    matrix[unique] -= lr * sums

@@ -15,7 +15,8 @@ The layer zoo is exactly what the paper needs:
 plus :class:`~repro.nn.optim.SGD` and :class:`~repro.nn.optim.Adam`
 (Kingma & Ba, the optimizer Algorithm 1 prescribes) and their sparse
 counterparts :class:`~repro.nn.optim.RowSGD` /
-:class:`~repro.nn.optim.RowAdam` for per-row embedding-matrix updates.
+:class:`~repro.nn.optim.RowAdam` for per-row embedding-matrix updates,
+which share the :func:`~repro.nn.optim.segment_sum` kernel.
 """
 
 from repro.nn.modules import (
@@ -35,6 +36,7 @@ from repro.nn.optim import (
     RowSGD,
     gradient_norm,
     make_row_optimizer,
+    segment_sum,
 )
 
 __all__ = [
@@ -52,4 +54,5 @@ __all__ = [
     "RowAdam",
     "gradient_norm",
     "make_row_optimizer",
+    "segment_sum",
 ]

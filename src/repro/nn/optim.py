@@ -12,16 +12,65 @@ Two families live here:
 Row optimizers share the :class:`RowOptimizer` interface
 (``update(rows, grads, lr=None)``), so trainers can swap SGD for Adam
 without changing their update code; :func:`make_row_optimizer` resolves a
-name to an instance.
+name to an instance.  Both aggregate a batch's repeated rows with
+:func:`segment_sum`, the one sparse row-update kernel of the package.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterable
 
 import numpy as np
+import scipy.sparse
 
 from repro.autograd import Tensor
+
+
+def segment_sum(
+    rows: np.ndarray, grads: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sum the gradient rows that share a row index.
+
+    Args:
+        rows: integer array of row indices (flattened; repeats allowed).
+        grads: one gradient per entry of ``rows``, shape
+            ``(rows.size, ...)``; the sums accumulate in its dtype.
+
+    Returns:
+        ``(unique_rows, sums, counts)``: the distinct rows in ascending
+        order, their summed gradients of shape ``(unique_rows.size, ...)``
+        and how many occurrences each sum covers.
+
+    A stable argsort lays each row's occurrences out in batch order; the
+    sums are then the product of an all-ones CSR matrix (one matrix row per
+    distinct row, column indices = that order) with ``grads``.  scipy adds
+    a CSR row's terms one after another in column order, so every sum is
+    bit-identical to adding the gradients into zeros one occurrence at a
+    time (the unbuffered ``add.at`` scatter).  ``np.add.reduceat`` is not:
+    its inner loop reassociates the additions and changes the low bits of
+    float32 sums.
+    """
+    rows = np.asarray(rows).reshape(-1)
+    grads = np.asarray(grads)
+    size = rows.size
+    order = np.argsort(rows, kind="stable")
+    sorted_rows = rows[order]
+    starts = np.empty(size, dtype=bool)
+    starts[:1] = True
+    np.not_equal(sorted_rows[1:], sorted_rows[:-1], out=starts[1:])
+    indptr = np.append(np.flatnonzero(starts), size)
+    num_unique = indptr.size - 1
+    segments = scipy.sparse.csr_array(
+        (np.ones(size, dtype=grads.dtype), order, indptr),
+        shape=(num_unique, size),
+    )
+    sums = segments @ grads.reshape(size, math.prod(grads.shape[1:]))
+    return (
+        sorted_rows[indptr[:-1]],
+        sums.reshape((num_unique,) + grads.shape[1:]),
+        np.diff(indptr),
+    )
 
 
 def gradient_norm(grads: Iterable[np.ndarray | None]) -> float:
@@ -240,15 +289,11 @@ class RowSGD(RowOptimizer):
         self, rows: np.ndarray, grads: np.ndarray, lr: float | None = None
     ) -> None:
         step = self.lr if lr is None else lr
-        unique, inverse, counts = np.unique(
-            rows, return_inverse=True, return_counts=True
+        unique, sums, counts = segment_sum(
+            rows, np.asarray(grads, dtype=self.matrix.dtype)
         )
-        aggregated = np.zeros(
-            (unique.size, self.matrix.shape[1]), dtype=self.matrix.dtype
-        )
-        np.add.at(aggregated, inverse, grads)
-        aggregated /= counts[:, None]
-        self.matrix[unique] -= step * aggregated
+        sums /= counts[:, None]
+        self.matrix[unique] -= step * sums
 
     def state_dict(self) -> dict:
         return {"kind": "sgd", "lr": self.lr}
@@ -288,12 +333,9 @@ class RowAdam(RowOptimizer):
         self, rows: np.ndarray, grads: np.ndarray, lr: float | None = None
     ) -> None:
         step = self.lr if lr is None else lr
-        rows = np.asarray(rows, dtype=np.int64)
-        unique, inverse = np.unique(rows, return_inverse=True)
-        aggregated = np.zeros(
-            (unique.size, self.matrix.shape[1]), dtype=self.matrix.dtype
+        unique, aggregated, _ = segment_sum(
+            rows, np.asarray(grads, dtype=self.matrix.dtype)
         )
-        np.add.at(aggregated, inverse, grads)
         self._t += 1
         m = self._m[unique]
         v = self._v[unique]

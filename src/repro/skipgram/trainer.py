@@ -28,12 +28,10 @@ from repro.nn.optim import gradient_norm, make_row_optimizer
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    positive = x >= 0
-    out[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
-    ex = np.exp(x[~positive])
-    out[~positive] = ex / (1.0 + ex)
-    return out
+    # exp of a non-positive argument never overflows; both branches are
+    # computed everywhere, so no boolean gathers or scatters
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 class SkipGramTrainer:
@@ -94,9 +92,9 @@ class SkipGramTrainer:
             negatives: int array (B, m) of negative indices.
             lr: SGD learning rate.
         """
-        centers = np.asarray(centers, dtype=np.int64)
-        contexts = np.asarray(contexts, dtype=np.int64)
-        negatives = np.asarray(negatives, dtype=np.int64)
+        centers = np.asarray(centers)
+        contexts = np.asarray(contexts)
+        negatives = np.asarray(negatives)
         if centers.shape != contexts.shape or centers.ndim != 1:
             raise ValueError("centers and contexts must be matching 1-D arrays")
         if negatives.ndim != 2 or negatives.shape[0] != centers.shape[0]:
@@ -117,15 +115,20 @@ class SkipGramTrainer:
         g_neg = neg_sig  # (B, m)
 
         grad_center = g_pos[:, None] * w_o + np.einsum("bm,bmd->bd", g_neg, w_n)
-        grad_context = g_pos[:, None] * w_c
-        grad_negatives = g_neg[..., None] * w_c[:, None, :]
-
         self.input_optimizer.update(centers, grad_center, lr=lr)
+
         # positive-context and negative rows both live in self.context;
-        # aggregate them together so a node playing both roles moves once
+        # aggregate them together so a node playing both roles moves once.
+        # Their grads are written straight into one (B*(m+1), d) buffer:
+        # the B context rows, then the B*m negative rows
+        batch = centers.size
         out_rows = np.concatenate([contexts, negatives.reshape(-1)])
-        out_grads = np.concatenate(
-            [grad_context, grad_negatives.reshape(-1, self.dim)]
+        out_grads = np.empty((out_rows.size, self.dim), dtype=w_c.dtype)
+        np.multiply(g_pos[:, None], w_c, out=out_grads[:batch])
+        np.multiply(
+            g_neg[..., None],
+            w_c[:, None, :],
+            out=out_grads[batch:].reshape(negatives.shape + (self.dim,)),
         )
         self.context_optimizer.update(out_rows, out_grads, lr=lr)
 
@@ -138,9 +141,10 @@ class SkipGramTrainer:
             )
             drawn = negatives.size
             self.metrics.counter(f"{prefix}negatives/drawn", drawn)
+            unique = np.count_nonzero(np.bincount(negatives.ravel()))
             self.metrics.observe(
                 f"{prefix}negatives/unique_frac",
-                np.unique(negatives).size / drawn if drawn else 0.0,
+                unique / drawn if drawn else 0.0,
             )
         return float(loss.mean())
 

@@ -194,3 +194,98 @@ class TestGradValues:
         c = Tensor([1.0, 2.0])
         (a * c).sum().backward()
         assert c.grad is None
+
+
+def tape_nodes(root):
+    """Every tensor on ``root``'s tape, parents before children."""
+    ordered, seen = [], set()
+
+    def visit(node):
+        if id(node) in seen or not node.requires_grad:
+            return
+        seen.add(id(node))
+        for parent in node._parents:
+            visit(parent)
+        ordered.append(node)
+
+    visit(root)
+    return ordered
+
+
+def keep_every_grad_backward(root):
+    """``Tensor.backward``'s traversal, keeping every node's total
+    gradient (returned by id) instead of the leaves' only."""
+    totals = {}
+    pending = {id(root): np.ones_like(root.data)}
+    for node in reversed(tape_nodes(root)):
+        grad = pending.pop(id(node), None)
+        if grad is None:
+            continue
+        totals[id(node)] = grad.copy()
+        if node._backward is None:
+            continue
+        for parent, parent_grad in node._backward(grad):
+            if not parent.requires_grad:
+                continue
+            key = id(parent)
+            pending[key] = (
+                pending[key] + parent_grad if key in pending else parent_grad
+            )
+    return totals
+
+
+class TestLeafOnlyGrad:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_translator_tape(self, rng, dtype):
+        from repro.core.cross_view import similarity_loss
+        from repro.core.translator import Translator
+
+        forward = Translator(3, 4, num_encoders=2, rng=rng, dtype=dtype)
+        backward = Translator(3, 4, num_encoders=2, rng=rng, dtype=dtype)
+        a_src, a_tgt = (
+            Tensor(rng.normal(size=(5, 3, 4)).astype(dtype), True)
+            for _ in range(2)
+        )
+        translated = forward.forward(a_src)
+        loss = similarity_loss(translated, a_tgt) + similarity_loss(
+            backward.forward(translated), a_src
+        )
+        nodes = tape_nodes(loss)
+        expected = keep_every_grad_backward(loss)
+        loss.backward()
+
+        leaves = [a_src, a_tgt, *forward.parameters(), *backward.parameters()]
+        assert {id(n) for n in nodes if n._backward is None} == {
+            id(n) for n in leaves
+        }
+        for tensor in leaves:
+            assert tensor.grad.dtype == dtype
+            assert tensor.grad.tobytes() == expected[id(tensor)].tobytes()
+        interior = [n for n in nodes if n._backward is not None]
+        assert interior and all(n.grad is None for n in interior)
+
+    def test_root_is_interior(self, rng):
+        a = leaf((3,), rng)
+        out = (a * 2.0).sum()
+        out.backward()
+        assert out.grad is None
+        assert np.array_equal(a.grad, [2.0, 2.0, 2.0])
+
+
+class TestTakeRowsScatter:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_scatter_add_byte_for_byte(self, rng, dtype):
+        data = rng.normal(size=(6, 3)).astype(dtype)
+        indices = np.array([[4, 1, 4], [-2, 0, 4]])  # -2 is row 4 again
+        grad = rng.normal(size=(2, 3, 3)).astype(dtype)
+        a = Tensor(data, requires_grad=True)
+        a.take_rows(indices).backward(grad)
+        expected = np.zeros_like(data)
+        np.add.at(expected, indices, grad)
+        assert a.grad.dtype == dtype
+        assert a.grad.tobytes() == expected.tobytes()
+
+    def test_empty_indices(self):
+        a = Tensor(np.ones((3, 2)), requires_grad=True)
+        a.take_rows(np.zeros(0, dtype=np.int64)).backward(np.zeros((0, 2)))
+        assert np.array_equal(a.grad, np.zeros((3, 2)))

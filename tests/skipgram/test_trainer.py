@@ -8,7 +8,47 @@ from repro.skipgram import SkipGramTrainer
 from repro.skipgram.trainer import _sigmoid
 
 
+def masked_sigmoid(x):
+    """The sigmoid by boolean masks, the bitwise oracle of ``_sigmoid``."""
+    out = np.empty_like(x)
+    positive = x >= 0
+    out[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
+    ex = np.exp(x[~positive])
+    out[~positive] = ex / (1.0 + ex)
+    return out
+
+
+def concatenating_sgns_step(emb, context, centers, contexts, negatives, lr):
+    """One SGNS update with int64 casts and the context-side rows and
+    grads joined by ``concatenate``: the bitwise oracle of the
+    preallocated grad buffer in ``train_batch``."""
+    centers = np.asarray(centers, dtype=np.int64)
+    contexts = np.asarray(contexts, dtype=np.int64)
+    negatives = np.asarray(negatives, dtype=np.int64)
+    w_c, w_o, w_n = emb[centers], context[contexts], context[negatives]
+    g_pos = masked_sigmoid(np.einsum("bd,bd->b", w_c, w_o)) - 1.0
+    g_neg = masked_sigmoid(np.einsum("bd,bmd->bm", w_c, w_n))
+    grad_center = g_pos[:, None] * w_o + np.einsum("bm,bmd->bd", g_neg, w_n)
+    RowSGD(emb, lr=lr).update(centers, grad_center)
+    out_rows = np.concatenate([contexts, negatives.reshape(-1)])
+    out_grads = np.concatenate(
+        [
+            g_pos[:, None] * w_c,
+            (g_neg[..., None] * w_c[:, None, :]).reshape(-1, w_c.shape[1]),
+        ]
+    )
+    RowSGD(context, lr=lr).update(out_rows, out_grads)
+
+
 class TestSigmoid:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bit_identical_to_masked_form(self, rng, dtype):
+        x = rng.normal(scale=20.0, size=(37, 5)).astype(dtype)
+        x[0, :4] = [0.0, -0.0, 1e30, -1e30]
+        got, want = _sigmoid(x), masked_sigmoid(x)
+        assert got.dtype == want.dtype == dtype
+        assert got.tobytes() == want.tobytes()
+
     def test_midpoint(self):
         assert _sigmoid(np.array([0.0]))[0] == pytest.approx(0.5)
 
@@ -111,3 +151,33 @@ class TestTrainer:
             np.array([0]), np.array([1]), np.array([[2, 3]]), lr=0.5
         )
         assert trainer.embeddings is view
+
+
+class TestBatchBuffer:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bit_identical_to_concatenating_step(self, rng, dtype):
+        emb = rng.normal(0, 0.1, size=(30, 6)).astype(dtype)
+        reference_emb = emb.copy()
+        reference_context = np.zeros_like(emb)
+        trainer = SkipGramTrainer(emb, rng=rng)
+        for _ in range(5):
+            centers = rng.integers(0, 30, size=40).astype(np.int32)
+            contexts = rng.integers(0, 30, size=40).astype(np.int32)
+            negatives = rng.integers(0, 30, size=(40, 4))
+            trainer.train_batch(centers, contexts, negatives, lr=0.05)
+            concatenating_sgns_step(
+                reference_emb, reference_context,
+                centers, contexts, negatives, lr=0.05,
+            )
+        assert emb.tobytes() == reference_emb.tobytes()
+        assert trainer.context.tobytes() == reference_context.tobytes()
+
+    def test_unique_negatives_metric(self, rng):
+        from repro.engine.observability import MetricsRegistry
+
+        trainer = SkipGramTrainer(rng.normal(size=(20, 4)), rng=rng)
+        trainer.metrics = MetricsRegistry()
+        negatives = np.array([[3, 3, 7], [19, 3, 0]])
+        trainer.train_batch(np.array([0, 1]), np.array([2, 4]), negatives, 0.1)
+        series = trainer.metrics.snapshot()["series"]["negatives/unique_frac"]
+        assert series["mean"] == pytest.approx(4 / 6)
