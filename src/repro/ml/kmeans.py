@@ -3,12 +3,29 @@
 Used by the node-*clustering* extension task (:mod:`repro.eval.clustering`)
 — not part of the paper's evaluation, but the standard third task in the
 network-embedding literature and a natural consumer of the same
-embeddings.
+embeddings — and as the coarse quantizer of
+:class:`repro.serving.index.IVFIndex`.
+
+Both k-means loops run in O(n·k·d) time and O(n·k) memory: seeding keeps
+one running nearest-center distance per point, and each Lloyd step
+assigns points with one GEMM (:func:`_nearest_center`).
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+
+def _nearest_center(
+    x: np.ndarray, centers: np.ndarray, centers_sq: np.ndarray
+) -> np.ndarray:
+    """Index of the nearest center for every row of ``x``.
+
+    ``centers_sq`` is ``(centers**2).sum(axis=1)``.  ``||x||^2`` is the
+    same for every center, so ``argmin ||x - c||^2`` equals
+    ``argmin ||c||^2 - 2 x.c``: one GEMM and an ``(n, k)`` block.
+    """
+    return (centers_sq - 2.0 * (x @ centers.T)).argmin(axis=1)
 
 
 class KMeans:
@@ -45,26 +62,24 @@ class KMeans:
     ) -> np.ndarray:
         n = x.shape[0]
         centers = [x[int(rng.integers(n))]]
+        # squared distance to the nearest center so far; a running
+        # minimum is exact, so the draws match a min over all centers
+        d2 = ((x - centers[0]) ** 2).sum(axis=1)
         for _ in range(1, self.num_clusters):
-            d2 = np.min(
-                [((x - c) ** 2).sum(axis=1) for c in centers], axis=0
-            )
             total = d2.sum()
             if total <= 0:
                 centers.append(x[int(rng.integers(n))])
-                continue
-            probs = d2 / total
-            centers.append(x[int(rng.choice(n, p=probs))])
+            else:
+                probs = d2 / total
+                centers.append(x[int(rng.choice(n, p=probs))])
+            np.minimum(d2, ((x - centers[-1]) ** 2).sum(axis=1), out=d2)
         return np.array(centers)
 
     def _lloyd(
         self, x: np.ndarray, centers: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, float]:
         for _ in range(self.max_iter):
-            d2 = (
-                (x[:, None, :] - centers[None, :, :]) ** 2
-            ).sum(axis=2)
-            assignment = d2.argmin(axis=1)
+            assignment = _nearest_center(x, centers, (centers**2).sum(axis=1))
             new_centers = centers.copy()
             for k in range(self.num_clusters):
                 members = x[assignment == k]
@@ -74,9 +89,10 @@ class KMeans:
             centers = new_centers
             if shift < self.tol:
                 break
-        d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        assignment = d2.argmin(axis=1)
-        inertia = float(d2[np.arange(x.shape[0]), assignment].sum())
+        assignment = _nearest_center(x, centers, (centers**2).sum(axis=1))
+        # per-row sums, then their total (not one flat sum): this order
+        # fixes the rounding of inertia_ and so the best-of-num_init pick
+        inertia = float(((x - centers[assignment]) ** 2).sum(axis=1).sum())
         return assignment, centers, inertia
 
     def fit_predict(self, x: np.ndarray) -> np.ndarray:

@@ -27,12 +27,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ml.kmeans import KMeans
+from repro.ml.kmeans import KMeans, _nearest_center
 
 METRICS = ("cosine", "dot")
 
-# cap on the floats one k-means training pass may materialize
-# (ml.kmeans builds an (n, k, d) distance tensor per Lloyd iteration)
+# cap on n * k * d for the k-means training sample.  ml.kmeans holds
+# only an (n, k) distance block per Lloyd step, so this bounds build
+# time rather than memory; changing it would change which rows are
+# sampled, and with them the centroids
 _KMEANS_FLOAT_BUDGET = 40_000_000
 
 
@@ -139,13 +141,14 @@ class IVFIndex:
     """Approximate top-k: coarse k-means cells + exact in-cell rerank.
 
     Build: a k-means quantizer is fit on a bounded sample of the rows
-    (sampling keeps :class:`repro.ml.kmeans.KMeans`'s dense distance
-    tensor within a fixed float budget at million-row scale), then every
-    row is assigned to its nearest centroid in chunks.  Search: score
-    the query against all ``nlist`` centroids, probe the ``nprobe``
-    nearest cells, rerank their members exactly, and — when the probed
-    cells hold fewer than ``k`` members — keep probing further cells in
-    the same order until ``k`` candidates exist, so results never pad.
+    (at most ``_KMEANS_FLOAT_BUDGET / (nlist * dim)`` of them; each
+    Lloyd step of :class:`repro.ml.kmeans.KMeans` holds one ``(n, k)``
+    distance block), then every row is assigned to its nearest centroid
+    in chunks.  Search: score the query against all ``nlist`` centroids,
+    probe the ``nprobe`` nearest cells, rerank their members exactly,
+    and — when the probed cells hold fewer than ``k`` members — keep
+    probing further cells in the same order until ``k`` candidates
+    exist, so results never pad.
 
     Args:
         matrix: ``(n, dim)`` embedding rows.
@@ -210,13 +213,14 @@ class IVFIndex:
         assert kmeans.centers_ is not None
         self.centroids = kmeans.centers_.astype(self._base.dtype)
 
+        self._cent_sq = (self.centroids**2).sum(axis=1)
+
         assignment = np.empty(self.num_rows, dtype=np.int64)
-        cent_sq = (self.centroids**2).sum(axis=1)
         for start in range(0, self.num_rows, row_chunk):
             block = self._base[start : start + row_chunk]
-            # argmin of ||x - c||^2 == argmin of ||c||^2 - 2 x.c
-            d2 = cent_sq[None, :] - 2.0 * (block @ self.centroids.T)
-            assignment[start : start + block.shape[0]] = d2.argmin(axis=1)
+            assignment[start : start + block.shape[0]] = _nearest_center(
+                block, self.centroids, self._cent_sq
+            )
         # inverted lists: rows sorted by cell + per-cell boundaries
         self._order = np.argsort(assignment, kind="stable").astype(np.int64)
         sorted_cells = assignment[self._order]
@@ -247,9 +251,8 @@ class IVFIndex:
 
         # centroid ranking per query: nearest cells first (L2 in the
         # prepared space; nested in nprobe, so recall is monotone)
-        cent_sq = (self.centroids**2).sum(axis=1)
         cell_rank = np.argsort(
-            cent_sq[None, :] - 2.0 * (queries @ self.centroids.T),
+            self._cent_sq - 2.0 * (queries @ self.centroids.T),
             kind="stable",
             axis=1,
         )

@@ -1,9 +1,62 @@
 """Tests for k-means and NMI."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.ml import KMeans, normalized_mutual_information
+
+
+class OracleKMeans(KMeans):
+    """The quadratic reference k-means: list-min seeding and an
+    ``(n, k, d)`` distance tensor per Lloyd step.  :class:`KMeans` must
+    match it byte for byte."""
+
+    def _plusplus_init(self, x, rng):
+        n = x.shape[0]
+        centers = [x[int(rng.integers(n))]]
+        for _ in range(1, self.num_clusters):
+            d2 = np.min(
+                [((x - c) ** 2).sum(axis=1) for c in centers], axis=0
+            )
+            total = d2.sum()
+            if total <= 0:
+                centers.append(x[int(rng.integers(n))])
+                continue
+            probs = d2 / total
+            centers.append(x[int(rng.choice(n, p=probs))])
+        return np.array(centers)
+
+    def _lloyd(self, x, centers):
+        for _ in range(self.max_iter):
+            d2 = (
+                (x[:, None, :] - centers[None, :, :]) ** 2
+            ).sum(axis=2)
+            assignment = d2.argmin(axis=1)
+            new_centers = centers.copy()
+            for k in range(self.num_clusters):
+                members = x[assignment == k]
+                if members.size:
+                    new_centers[k] = members.mean(axis=0)
+            shift = np.linalg.norm(new_centers - centers)
+            centers = new_centers
+            if shift < self.tol:
+                break
+        d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        assignment = d2.argmin(axis=1)
+        inertia = float(d2[np.arange(x.shape[0]), assignment].sum())
+        return assignment, centers, inertia
+
+
+def unit_mixture(n=6000, dim=32, clusters=16, seed=0):
+    """Unit-normalized float32 Gaussian mixture: the shape of the
+    ``serve-topk`` store, whose IVF quantizer fits k = 77 on it."""
+    rng = np.random.default_rng(seed)
+    centers = rng.standard_normal((clusters, dim)) * 2.0
+    x = centers[rng.integers(0, clusters, size=n)]
+    x = (x + rng.standard_normal((n, dim))).astype(np.float32)
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
 
 
 def three_blobs(rng, per=25, spread=0.3):
@@ -54,6 +107,55 @@ class TestKMeans:
         many = KMeans(3, num_init=8, seed=0)
         many.fit_predict(x)
         assert many.inertia_ <= one.inertia_ + 1e-9
+
+
+def _fit(cls, x, k, **kwargs):
+    km = cls(k, **kwargs)
+    labels = km.fit_predict(x)
+    return labels, km.centers_, km.inertia_
+
+
+class TestMatchesOracle:
+    """Byte-identical labels, centers and inertia to the reference."""
+
+    def assert_same(self, x, k, **kwargs):
+        labels, centers, inertia = _fit(KMeans, x, k, **kwargs)
+        ref_labels, ref_centers, ref_inertia = _fit(
+            OracleKMeans, x, k, **kwargs
+        )
+        assert labels.tobytes() == ref_labels.tobytes()
+        assert centers.tobytes() == ref_centers.tobytes()
+        assert np.float64(inertia).tobytes() == np.float64(
+            ref_inertia
+        ).tobytes()
+
+    def test_blobs_with_restarts(self, rng):
+        x, _ = three_blobs(rng, spread=1.5)
+        self.assert_same(x, 3, num_init=4, seed=3)
+
+    def test_tie_heavy_integer_grid(self, rng):
+        # few distinct points, many duplicates: equal distances everywhere
+        x = rng.integers(0, 4, size=(300, 2)).astype(float)
+        self.assert_same(x, 6, num_init=3, seed=5)
+
+    def test_serving_shape(self):
+        self.assert_same(unit_mixture(), 77, num_init=1, max_iter=15)
+
+    def test_float32_input(self, rng):
+        x = rng.normal(size=(400, 6)).astype(np.float32)
+        self.assert_same(x, 9, num_init=2, seed=1)
+
+
+def test_serving_shape_memory_stays_small():
+    # the (n, k, d) tensor of the reference peaks near 120 MB here
+    x = unit_mixture()
+    tracemalloc.start()
+    try:
+        KMeans(77, num_init=1, max_iter=15).fit_predict(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 1024 * 1024, peak
 
 
 class TestNmi:

@@ -12,12 +12,14 @@ pins so a refactor cannot silently break the nesting.
 import numpy as np
 import pytest
 
+import repro.serving.index as index_module
 from repro.serving.index import (
     BruteForceIndex,
     IVFIndex,
     make_index,
     recall_at_k,
 )
+from tests.ml.test_kmeans import OracleKMeans
 
 
 def clustered_embeddings(
@@ -161,6 +163,28 @@ class TestIVFStructure:
         idx, scores = ivf.search(x[:4], 5)
         assert scores.dtype == np.float32
         assert idx.shape == (4, 5)
+
+    @pytest.mark.parametrize(
+        "dtype,metric,train_sample",
+        [
+            (np.float64, "cosine", None),
+            (np.float32, "dot", None),
+            (np.float32, "cosine", 600),
+        ],
+    )
+    def test_build_matches_reference_kmeans(
+        self, monkeypatch, dtype, metric, train_sample
+    ):
+        """The quantizer and inverted lists are byte-identical to a
+        build on the quadratic reference k-means."""
+        x = clustered_embeddings(dtype=dtype)
+        built = IVFIndex(x, metric=metric, train_sample=train_sample, seed=3)
+        monkeypatch.setattr(index_module, "KMeans", OracleKMeans)
+        ref = IVFIndex(x, metric=metric, train_sample=train_sample, seed=3)
+        assert built.centroids.dtype == dtype
+        for name in ("centroids", "_order", "_cell_starts", "_cell_ends"):
+            got, want = getattr(built, name), getattr(ref, name)
+            assert got.tobytes() == want.tobytes(), name
 
     def test_bad_inputs(self, base):
         with pytest.raises(ValueError, match="nprobe"):
