@@ -14,6 +14,7 @@ Usage:
 from __future__ import annotations
 
 import copy
+import threading
 import weakref
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -226,6 +227,12 @@ class TransN:
             for view_code, view in enumerate(self.views)
         ]
 
+        # a budget bounds the process, not each wave thread: concurrent
+        # pairs take turns on their translator steps (their sampling
+        # still overlaps), so one micro-batch is in flight at a time
+        step_lock = (
+            threading.Lock() if cfg.corpus_budget_bytes is not None else None
+        )
         self.cross_trainers = [
             CrossViewTrainer(
                 pair,
@@ -245,6 +252,8 @@ class TransN:
                 use_reconstruction_tasks=cfg.use_reconstruction_tasks,
                 normalize_similarity=cfg.normalize_similarity,
                 batched=cfg.batched_cross_view,
+                budget_bytes=cfg.corpus_budget_bytes,
+                step_lock=step_lock,
             )
             for pair in self.view_pairs
         ]

@@ -337,15 +337,27 @@ class RowAdam(RowOptimizer):
             rows, np.asarray(grads, dtype=self.matrix.dtype)
         )
         self._t += 1
+        # in place on the gathered rows, op for op the textbook update:
+        # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2;
+        # x -= lr m_hat / (sqrt(v_hat) + eps)
         m = self._m[unique]
+        m *= self.beta1
+        m += (1.0 - self.beta1) * aggregated
         v = self._v[unique]
-        m = self.beta1 * m + (1.0 - self.beta1) * aggregated
-        v = self.beta2 * v + (1.0 - self.beta2) * aggregated**2
+        v *= self.beta2
+        np.square(aggregated, out=aggregated)
+        aggregated *= 1.0 - self.beta2
+        v += aggregated
+        del aggregated
         self._m[unique] = m
         self._v[unique] = v
-        m_hat = m / (1.0 - self.beta1**self._t)
-        v_hat = v / (1.0 - self.beta2**self._t)
-        self.matrix[unique] -= step * m_hat / (np.sqrt(v_hat) + self.eps)
+        m /= 1.0 - self.beta1**self._t
+        m *= step
+        v /= 1.0 - self.beta2**self._t
+        np.sqrt(v, out=v)
+        v += self.eps
+        m /= v
+        self.matrix[unique] -= m
 
     def state_dict(self) -> dict:
         return {

@@ -1,9 +1,9 @@
 """Batched-vs-per-chunk equivalence of the cross-view translator stack.
 
-The batched cross-view trainer feeds a ``(num_chunks, path_len, d)``
-tensor through one autograd graph where the per-chunk reference path
-builds one 2-D graph per chunk.  At identical parameters the two must
-agree exactly:
+The tape oracle of the cross-view step (``tests/core/tape_oracle.py``)
+feeds a ``(num_chunks, path_len, d)`` tensor through one autograd graph
+where a per-chunk step builds one 2-D graph per chunk.  At identical
+parameters the two must agree exactly:
 
 * forward: the batched output's k-th slice equals the 2-D forward of
   chunk k;

@@ -25,6 +25,11 @@ update per direction per epoch (instead of one per chunk), so the
 optimization trajectory — not the RNG stream, which is untouched —
 shifted.  The batched-vs-per-chunk gradient equivalence evidence lives in
 ``tests/core/test_batched_translator.py``.
+
+Not re-pinned when the closed-form translator kernel replaced the tape in
+the cross-view step: it reproduces the tape's arithmetic to ~1e-12 in
+float64 (``tests/core/test_translator_kernel.py``), inside the goldens'
+1e-7 tolerance.
 """
 
 import numpy as np

@@ -8,6 +8,8 @@ from repro.engine.pipeline import (
     CorpusPipeline,
     StreamingCorpusPipeline,
     block_walks_for_budget,
+    cross_view_chunks_for_budget,
+    cross_view_step_bytes,
     pairs_per_walk,
 )
 from repro.graph.views import separate_views
@@ -125,6 +127,63 @@ class TestBudget:
         assert pairs_per_walk(8, 1) == 2 * 7
         assert pairs_per_walk(8, 2) == 2 * (7 + 6)
         assert pairs_per_walk(2, 5) == 2 * 1
+
+
+# fit-stream's cross-view shape: path_len 6, d=32, 2 encoders, float32,
+# at most 360 common nodes a pair on its 684-node AMiner graph
+_FIT_STREAM = dict(
+    path_len=6, dim=32, num_encoders=2, common_rows=360, itemsize=4
+)
+
+
+class TestCrossViewBudget:
+    def test_monotone_in_budget(self):
+        budgets = [2**k for k in range(19, 31)]
+        chunks = [
+            cross_view_chunks_for_budget(b, **_FIT_STREAM) for b in budgets
+        ]
+        assert chunks == sorted(chunks)
+        assert chunks[-1] > chunks[0]
+
+    def test_below_minimum_raises_naming_it(self):
+        minimum = cross_view_step_bytes(1, **_FIT_STREAM)
+        assert cross_view_chunks_for_budget(minimum, **_FIT_STREAM) == 1
+        with pytest.raises(ValueError, match=f"needs {minimum} bytes"):
+            cross_view_chunks_for_budget(minimum - 1, **_FIT_STREAM)
+
+    def test_accepts_fit_stream_budget(self):
+        chunks = cross_view_chunks_for_budget(1 << 20, **_FIT_STREAM)
+        assert chunks >= 32
+        assert cross_view_step_bytes(chunks, **_FIT_STREAM) <= 1 << 20
+
+    def test_chunks_fill_the_budget(self):
+        budget = 8 << 20
+        chunks = cross_view_chunks_for_budget(budget, **_FIT_STREAM)
+        assert cross_view_step_bytes(chunks, **_FIT_STREAM) <= budget
+        assert cross_view_step_bytes(chunks + 1, **_FIT_STREAM) > budget
+
+    def test_shape_terms(self):
+        base = cross_view_chunks_for_budget(8 << 20, **_FIT_STREAM)
+        for change in (
+            {"itemsize": 8},
+            {"num_encoders": 6},
+            {"dim": 128},
+            {"common_rows": 3000},
+        ):
+            assert (
+                cross_view_chunks_for_budget(
+                    8 << 20, **{**_FIT_STREAM, **change}
+                )
+                < base
+            ), change
+        simple = cross_view_chunks_for_budget(
+            8 << 20, **{**_FIT_STREAM, "simple": True}
+        )
+        assert simple > base
+
+    def test_nonpositive_budget_rejected(self):
+        with pytest.raises(ValueError, match="positive"):
+            cross_view_chunks_for_budget(0, **_FIT_STREAM)
 
 
 class TestNoiseSchedule:
