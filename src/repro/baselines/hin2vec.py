@@ -22,7 +22,7 @@ import numpy as np
 from repro.graph.heterograph import HeteroGraph, NodeId
 
 from repro.baselines.base import EmbeddingMethod, Embeddings
-from repro.nn.optim import segment_sum
+from repro.nn.optim import RowSGD, segment_sum
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -58,6 +58,8 @@ class HIN2Vec(EmbeddingMethod):
         )
         if max_hops < 1:
             raise ValueError("max_hops must be >= 1")
+        if lr <= 0:
+            raise ValueError(f"learning rate must be positive, got {lr}")
         self.max_hops = max_hops
         self.walk_length = walk_length
         self.walks_per_node = walks_per_node
@@ -212,8 +214,6 @@ def _mean_update(
 ) -> None:
     """RowSGD's mean update, accumulated in float64 whatever the
     matrix dtype."""
-    unique, sums, counts = segment_sum(
-        rows, np.asarray(grads, dtype=np.float64)
+    RowSGD(matrix, lr).apply(
+        *segment_sum(rows, np.asarray(grads, dtype=np.float64))
     )
-    sums /= counts[:, None]
-    matrix[unique] -= lr * sums

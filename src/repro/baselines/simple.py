@@ -48,6 +48,8 @@ class SimplE(EmbeddingMethod):
         )
         if dim % 2:
             raise ValueError("SimplE needs an even dim (head/tail halves)")
+        if lr <= 0:
+            raise ValueError(f"learning rate must be positive, got {lr}")
         self.half_dim = dim // 2
         self.epochs = epochs
         self.lr = lr

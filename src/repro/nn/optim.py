@@ -10,7 +10,8 @@ Two families live here:
   updates of the common nodes' embeddings.
 
 Row optimizers share the :class:`RowOptimizer` interface
-(``update(rows, grads, lr=None)``), so trainers can swap SGD for Adam
+(``update(rows, grads, lr=None)``, or ``apply(unique, sums, counts,
+lr=None)`` on rows already summed), so trainers can swap SGD for Adam
 without changing their update code; :func:`make_row_optimizer` resolves a
 name to an instance.  Both aggregate a batch's repeated rows with
 :func:`segment_sum`, the one sparse row-update kernel of the package.
@@ -40,7 +41,7 @@ def segment_sum(
     Returns:
         ``(unique_rows, sums, counts)``: the distinct rows in ascending
         order, their summed gradients of shape ``(unique_rows.size, ...)``
-        and how many occurrences each sum covers.
+        and how many occurrences each sum covers (int64).
 
     A stable argsort lays each row's occurrences out in batch order; the
     sums are then the product of an all-ones CSR matrix (one matrix row per
@@ -50,27 +51,46 @@ def segment_sum(
     time (the unbuffered ``add.at`` scatter).  ``np.add.reduceat`` is not:
     its inner loop reassociates the additions and changes the low bits of
     float32 sums.
+
+    When every row lies in ``[0, 65536)`` the argsort runs on a ``uint16``
+    copy of the rows, which numpy sorts by radix; a stable sort of the
+    same keys gives the same order whatever their width.  Wider rows are
+    sorted as they are.
     """
     rows = np.asarray(rows).reshape(-1)
     grads = np.asarray(grads)
     size = rows.size
-    order = np.argsort(rows, kind="stable")
+    order = np.argsort(_narrow_keys(rows), kind="stable")
     sorted_rows = rows[order]
     starts = np.empty(size, dtype=bool)
     starts[:1] = True
     np.not_equal(sorted_rows[1:], sorted_rows[:-1], out=starts[1:])
-    indptr = np.append(np.flatnonzero(starts), size)
-    num_unique = indptr.size - 1
+    firsts = np.flatnonzero(starts)
+    num_unique = firsts.size
+    indptr = np.empty(num_unique + 1, dtype=np.int64)
+    indptr[:-1] = firsts
+    indptr[-1] = size
     segments = scipy.sparse.csr_array(
         (np.ones(size, dtype=grads.dtype), order, indptr),
         shape=(num_unique, size),
     )
     sums = segments @ grads.reshape(size, math.prod(grads.shape[1:]))
     return (
-        sorted_rows[indptr[:-1]],
+        sorted_rows[firsts],
         sums.reshape((num_unique,) + grads.shape[1:]),
-        np.diff(indptr),
+        np.subtract(indptr[1:], firsts),
     )
+
+
+def _narrow_keys(rows: np.ndarray) -> np.ndarray:
+    """``rows`` as ``uint16`` when all of them lie in ``[0, 65536)``,
+    else ``rows`` itself: the sort keys of :func:`segment_sum`."""
+    if rows.size == 0 or rows.dtype.kind not in "iu":
+        return rows
+    # read as unsigned, a negative row is huge, so one max checks both ends
+    if rows.view(rows.dtype.str.replace("i", "u")).max() < 65536:
+        return rows.astype(np.uint16)
+    return rows
 
 
 def gradient_norm(grads: Iterable[np.ndarray | None]) -> float:
@@ -246,10 +266,13 @@ class RowOptimizer:
     """Optimizer over an embedding matrix receiving sparse row gradients.
 
     ``update(rows, grads)`` applies one step to the listed rows given one
-    gradient row per occurrence (rows may repeat within a batch; how
-    repeats are aggregated is subclass-specific).  ``lr`` passed to
-    :meth:`update` overrides the constructor default for that step, which
-    is how learning-rate schedules reach the hot loop.
+    gradient row per occurrence (rows may repeat within a batch): it sums
+    repeats with :func:`segment_sum` and hands the result to
+    :meth:`apply`, where each subclass turns ``(unique, sums, counts)``
+    into its step.  A caller that has already run :func:`segment_sum`
+    (the SGNS trainer sums both of its matrices in one call) goes to
+    :meth:`apply` directly.  ``lr`` overrides the constructor default for
+    that step, which is how learning-rate schedules reach the hot loop.
     """
 
     def __init__(self, matrix: np.ndarray, lr: float) -> None:
@@ -263,6 +286,21 @@ class RowOptimizer:
     def update(
         self, rows: np.ndarray, grads: np.ndarray, lr: float | None = None
     ) -> None:
+        self.apply(
+            *segment_sum(rows, np.asarray(grads, dtype=self.matrix.dtype)),
+            lr=lr,
+        )
+
+    def apply(
+        self,
+        unique: np.ndarray,
+        sums: np.ndarray,
+        counts: np.ndarray,
+        lr: float | None = None,
+    ) -> None:
+        """One step on the distinct rows ``unique`` from their summed
+        gradients (overwritten) and occurrence counts, as returned by
+        :func:`segment_sum`."""
         raise NotImplementedError
 
     # -- checkpoint protocol -------------------------------------------
@@ -285,15 +323,26 @@ class RowSGD(RowOptimizer):
     update in expectation.
     """
 
-    def update(
-        self, rows: np.ndarray, grads: np.ndarray, lr: float | None = None
+    def apply(
+        self,
+        unique: np.ndarray,
+        sums: np.ndarray,
+        counts: np.ndarray,
+        lr: float | None = None,
     ) -> None:
+        """``matrix[unique] -= lr * sums / counts``, computed in the dtype
+        of ``sums``.
+
+        Dividing a float32 sum by the float32 count gives the same bits
+        as dividing in float64 and rounding to float32: float64 carries
+        at least 2·24 + 2 bits, so rounding twice gives the correctly
+        rounded float32 quotient (counts below 2**24 are exact in
+        float32).
+        """
         step = self.lr if lr is None else lr
-        unique, sums, counts = segment_sum(
-            rows, np.asarray(grads, dtype=self.matrix.dtype)
-        )
-        sums /= counts[:, None]
-        self.matrix[unique] -= step * sums
+        sums /= counts.astype(sums.dtype)[:, None]
+        sums *= step
+        self.matrix[unique] -= sums
 
     def state_dict(self) -> dict:
         return {"kind": "sgd", "lr": self.lr}
@@ -329,26 +378,26 @@ class RowAdam(RowOptimizer):
         self._v = np.zeros_like(matrix)
         self._t = 0
 
-    def update(
-        self, rows: np.ndarray, grads: np.ndarray, lr: float | None = None
+    def apply(
+        self,
+        unique: np.ndarray,
+        sums: np.ndarray,
+        counts: np.ndarray,
+        lr: float | None = None,
     ) -> None:
         step = self.lr if lr is None else lr
-        unique, aggregated, _ = segment_sum(
-            rows, np.asarray(grads, dtype=self.matrix.dtype)
-        )
         self._t += 1
         # in place on the gathered rows, op for op the textbook update:
         # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2;
         # x -= lr m_hat / (sqrt(v_hat) + eps)
         m = self._m[unique]
         m *= self.beta1
-        m += (1.0 - self.beta1) * aggregated
+        m += (1.0 - self.beta1) * sums
         v = self._v[unique]
         v *= self.beta2
-        np.square(aggregated, out=aggregated)
-        aggregated *= 1.0 - self.beta2
-        v += aggregated
-        del aggregated
+        np.square(sums, out=sums)
+        sums *= 1.0 - self.beta2
+        v += sums
         self._m[unique] = m
         self._v[unique] = v
         m /= 1.0 - self.beta1**self._t

@@ -16,7 +16,10 @@ per-occurrence gradients, not the sum: on small graphs a node can appear
 dozens of times per batch; summing would multiply the effective learning
 rate by that count and demonstrably diverges, while the mean matches the
 sequential word2vec update in expectation.  ``optimizer="adam"`` swaps in
-:class:`~repro.nn.optim.RowAdam` for both matrices.
+:class:`~repro.nn.optim.RowAdam` for both matrices.  Each step sums the
+repeated rows of both matrices with one
+:func:`~repro.nn.optim.segment_sum` call and hands each matrix's share
+to its optimizer's ``apply``.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.engine.observability import NULL_REGISTRY, MetricsRegistry
-from repro.nn.optim import gradient_norm, make_row_optimizer
+from repro.nn.optim import gradient_norm, make_row_optimizer, segment_sum
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -114,23 +117,39 @@ class SkipGramTrainer:
         g_pos = pos_sig - 1.0  # (B,)
         g_neg = neg_sig  # (B, m)
 
-        grad_center = g_pos[:, None] * w_o + np.einsum("bm,bmd->bd", g_neg, w_n)
-        self.input_optimizer.update(centers, grad_center, lr=lr)
-
-        # positive-context and negative rows both live in self.context;
-        # aggregate them together so a node playing both roles moves once.
-        # Their grads are written straight into one (B*(m+1), d) buffer:
-        # the B context rows, then the B*m negative rows
+        # One gradient row per occurrence, all in one buffer: the B
+        # context rows and the B*m negative rows of self.context, then the
+        # B center rows of self.embeddings, keyed num_nodes higher.  One
+        # segment_sum covers both matrices: a node playing context and
+        # negative moves once, and the offset keeps the matrices apart
+        # without reordering any row's occurrences, so every sum adds the
+        # same terms in the same order as two separate calls would.
         batch = centers.size
-        out_rows = np.concatenate([contexts, negatives.reshape(-1)])
-        out_grads = np.empty((out_rows.size, self.dim), dtype=w_c.dtype)
-        np.multiply(g_pos[:, None], w_c, out=out_grads[:batch])
+        split = batch + negatives.size
+        rows = np.empty(split + batch, dtype=np.int64)
+        rows[:batch] = contexts
+        rows[batch:split] = negatives.reshape(-1)
+        rows[split:] = centers
+        rows[split:] += self.num_nodes
+        grads = np.empty((rows.size, self.dim), dtype=w_c.dtype)
+        np.multiply(g_pos[:, None], w_c, out=grads[:batch])
         np.multiply(
             g_neg[..., None],
             w_c[:, None, :],
-            out=out_grads[batch:].reshape(negatives.shape + (self.dim,)),
+            out=grads[batch:split].reshape(negatives.shape + (self.dim,)),
         )
-        self.context_optimizer.update(out_rows, out_grads, lr=lr)
+        grad_center = grads[split:]
+        np.multiply(g_pos[:, None], w_o, out=grad_center)
+        grad_center += np.einsum("bm,bmd->bd", g_neg, w_n)
+
+        unique, sums, counts = segment_sum(rows, grads)
+        cut = np.searchsorted(unique, self.num_nodes)
+        self.context_optimizer.apply(
+            unique[:cut], sums[:cut], counts[:cut], lr=lr
+        )
+        self.input_optimizer.apply(
+            unique[cut:] - self.num_nodes, sums[cut:], counts[cut:], lr=lr
+        )
 
         eps = 1e-12
         loss = -np.log(pos_sig + eps) - np.log(1.0 - neg_sig + eps).sum(axis=1)
@@ -141,12 +160,13 @@ class SkipGramTrainer:
             )
             drawn = negatives.size
             self.metrics.counter(f"{prefix}negatives/drawn", drawn)
-            unique = np.count_nonzero(np.bincount(negatives.ravel()))
+            distinct = np.count_nonzero(np.bincount(negatives.ravel()))
             self.metrics.observe(
                 f"{prefix}negatives/unique_frac",
-                unique / drawn if drawn else 0.0,
+                distinct / drawn if drawn else 0.0,
             )
-        return float(loss.mean())
+        # sum / size: the bits of mean() without its overhead
+        return float(loss.sum() / loss.size)
 
     # -- checkpoint protocol -------------------------------------------
     def state_dict(self) -> dict:

@@ -101,6 +101,11 @@ class TestCommonContract:
         with pytest.raises(ValueError):
             SimplE(dim=7)
 
+    @pytest.mark.parametrize("method", [HIN2Vec, SimplE])
+    def test_non_positive_lr_rejected(self, method):
+        with pytest.raises(ValueError, match="learning rate"):
+            method(lr=0.0)
+
 
 class TestQuality:
     """Every trained method must separate communities better than chance."""

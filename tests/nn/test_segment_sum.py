@@ -13,6 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import repro.core.cross_view as cross_view
+import repro.nn.optim as nn_optim
+import repro.skipgram.trainer as skipgram_trainer
 from repro.core import TransN, TransNConfig
 from repro.datasets import two_view_toy
 from repro.nn import RowAdam, RowSGD, segment_sum
@@ -30,37 +33,38 @@ def scatter_add_oracle(rows, grads):
     return unique, sums, counts
 
 
-def oracle_row_sgd_update(self, rows, grads, lr=None):
+def oracle_row_sgd_apply(self, unique, sums, counts, lr=None):
+    # the int64 counts make this a float64 division rounded to the sums'
+    # dtype
     step = self.lr if lr is None else lr
-    unique, inverse, counts = np.unique(
-        rows, return_inverse=True, return_counts=True
-    )
-    aggregated = np.zeros(
-        (unique.size, self.matrix.shape[1]), dtype=self.matrix.dtype
-    )
-    np.add.at(aggregated, inverse, grads)
-    aggregated /= counts[:, None]
-    self.matrix[unique] -= step * aggregated
+    sums /= counts[:, None]
+    self.matrix[unique] -= step * sums
 
 
-def oracle_row_adam_update(self, rows, grads, lr=None):
+def oracle_row_adam_apply(self, unique, sums, counts, lr=None):
     step = self.lr if lr is None else lr
-    rows = np.asarray(rows, dtype=np.int64)
-    unique, inverse = np.unique(rows, return_inverse=True)
-    aggregated = np.zeros(
-        (unique.size, self.matrix.shape[1]), dtype=self.matrix.dtype
-    )
-    np.add.at(aggregated, inverse, grads)
     self._t += 1
     m = self._m[unique]
     v = self._v[unique]
-    m = self.beta1 * m + (1.0 - self.beta1) * aggregated
-    v = self.beta2 * v + (1.0 - self.beta2) * aggregated**2
+    m = self.beta1 * m + (1.0 - self.beta1) * sums
+    v = self.beta2 * v + (1.0 - self.beta2) * sums**2
     self._m[unique] = m
     self._v[unique] = v
     m_hat = m / (1.0 - self.beta1**self._t)
     v_hat = v / (1.0 - self.beta2**self._t)
     self.matrix[unique] -= step * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+def oracle_row_sgd_update(self, rows, grads, lr=None):
+    oracle_row_sgd_apply(
+        self, *scatter_add_oracle(rows, grads.astype(self.matrix.dtype)), lr=lr
+    )
+
+
+def oracle_row_adam_update(self, rows, grads, lr=None):
+    oracle_row_adam_apply(
+        self, *scatter_add_oracle(rows, grads.astype(self.matrix.dtype)), lr=lr
+    )
 
 
 def assert_bytes_equal(actual, expected):
@@ -72,20 +76,35 @@ def assert_bytes_equal(actual, expected):
 @st.composite
 def batches(draw, max_size=120, max_dim=5):
     """(rows, grads): few distinct rows for heavy repeats, any int width,
-    float32 or float64 grads with full-range mantissas."""
+    rows below, across or far above the 16-bit sort keys' bound of 65,536
+    (up to 2**40), float32 or float64 grads anywhere in the finite range,
+    subnormals included."""
     dtype = np.dtype(draw(st.sampled_from([np.float32, np.float64])))
     row_dtype = draw(st.sampled_from([np.int32, np.int64]))
     size = draw(st.integers(0, max_size))
     distinct = draw(st.sampled_from([1, 2, 5, 40, 1000]))
+    offsets = [0, 65_536 - distinct // 2]
+    if row_dtype == np.int64:
+        offsets.append(2**40 - distinct)
+    offset = draw(st.sampled_from(offsets))
     dim = draw(st.integers(1, max_dim))
     rows = draw(
-        hnp.arrays(row_dtype, size, elements=st.integers(0, distinct - 1))
+        hnp.arrays(
+            row_dtype,
+            size,
+            elements=st.integers(offset, offset + distinct - 1),
+        )
     )
     grads = draw(
         hnp.arrays(
             dtype,
             (size, dim),
-            elements=st.floats(-1e3, 1e3, width=8 * dtype.itemsize),
+            elements=st.floats(
+                allow_nan=False,
+                allow_infinity=False,
+                allow_subnormal=True,
+                width=8 * dtype.itemsize,
+            ),
         )
     )
     return rows, grads
@@ -95,6 +114,7 @@ def batches(draw, max_size=120, max_dim=5):
 # the kernel
 # ----------------------------------------------------------------------
 class TestSegmentSum:
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
     @settings(max_examples=150, deadline=None)
     @given(batches())
     def test_matches_scatter_add_byte_for_byte(self, batch):
@@ -140,6 +160,25 @@ class TestSegmentSum:
                 segment_sum(rows, grads), scatter_add_oracle(rows, grads)
             ):
                 assert_bytes_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            np.array([-1, 5, -1, 65_535, 0], dtype=np.int64),
+            np.array([-70_000, 3, 3], dtype=np.int32),
+            np.array([65_535, 0, 65_535, 9], dtype=np.uint16),
+            np.array([2**33, 7, 2**33], dtype=np.uint64),
+            np.array([70_000, 2, 70_000, 1], dtype=">i8"),
+            np.array([4, 65_535, 4, 1], dtype=">i4"),
+        ],
+    )
+    def test_keys_outside_the_16_bit_sort(self, rng, rows):
+        # negative, unsigned and byte-swapped rows must pick the right sort
+        grads = rng.normal(size=(rows.size, 3)).astype(np.float32)
+        for got, want in zip(
+            segment_sum(rows, grads), scatter_add_oracle(rows, grads)
+        ):
+            assert_bytes_equal(got, want)
 
     def test_sums_in_occurrence_order(self):
         # 1 + 1e8 - 1e8 in float32 depends on the order of the terms
@@ -219,20 +258,29 @@ class TestStreamingFitMatchesOracle:
             return model.view_embeddings
 
         kernel = fit()
-        calls = {"sgd": 0, "adam": 0}
+        calls = {name: 0 for name in ("segment_sum", "sgd", "adam")}
 
-        def sgd(self, *args, **kwargs):
-            calls["sgd"] += 1
-            oracle_row_sgd_update(self, *args, **kwargs)
+        def counted(name, oracle):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return oracle(*args, **kwargs)
 
-        def adam(self, *args, **kwargs):
-            calls["adam"] += 1
-            oracle_row_adam_update(self, *args, **kwargs)
+            return wrapper
 
-        monkeypatch.setattr(RowSGD, "update", sgd)
-        monkeypatch.setattr(RowAdam, "update", adam)
+        # every module that bound the kernel at import: the row
+        # optimizers' update, the SGNS step and the cross-view merge
+        for module in (nn_optim, skipgram_trainer, cross_view):
+            monkeypatch.setattr(
+                module,
+                "segment_sum",
+                counted("segment_sum", scatter_add_oracle),
+            )
+        monkeypatch.setattr(RowSGD, "apply", counted("sgd", oracle_row_sgd_apply))
+        monkeypatch.setattr(
+            RowAdam, "apply", counted("adam", oracle_row_adam_apply)
+        )
         oracle = fit()
-        assert calls["sgd"] > 0 and calls["adam"] > 0
+        assert all(calls.values()), calls
         assert set(kernel) == set(oracle)
         for edge_type in kernel:
             assert kernel[edge_type].dtype == np.float32

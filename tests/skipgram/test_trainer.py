@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.optim import RowSGD
+from repro.nn.optim import RowSGD, make_row_optimizer
 from repro.skipgram import SkipGramTrainer
 from repro.skipgram.trainer import _sigmoid
 
@@ -18,18 +18,23 @@ def masked_sigmoid(x):
     return out
 
 
-def concatenating_sgns_step(emb, context, centers, contexts, negatives, lr):
-    """One SGNS update with int64 casts and the context-side rows and
-    grads joined by ``concatenate``: the bitwise oracle of the
-    preallocated grad buffer in ``train_batch``."""
+def concatenating_sgns_step(
+    input_optimizer, context_optimizer, centers, contexts, negatives, lr
+):
+    """One SGNS update with int64 casts, the context-side rows and grads
+    joined by ``concatenate`` and one optimizer update per matrix: the
+    bitwise oracle of the merged step in ``train_batch``.  Returns the
+    mean batch loss."""
+    emb, context = input_optimizer.matrix, context_optimizer.matrix
     centers = np.asarray(centers, dtype=np.int64)
     contexts = np.asarray(contexts, dtype=np.int64)
     negatives = np.asarray(negatives, dtype=np.int64)
     w_c, w_o, w_n = emb[centers], context[contexts], context[negatives]
-    g_pos = masked_sigmoid(np.einsum("bd,bd->b", w_c, w_o)) - 1.0
-    g_neg = masked_sigmoid(np.einsum("bd,bmd->bm", w_c, w_n))
+    pos_sig = masked_sigmoid(np.einsum("bd,bd->b", w_c, w_o))
+    neg_sig = masked_sigmoid(np.einsum("bd,bmd->bm", w_c, w_n))
+    g_pos, g_neg = pos_sig - 1.0, neg_sig
     grad_center = g_pos[:, None] * w_o + np.einsum("bm,bmd->bd", g_neg, w_n)
-    RowSGD(emb, lr=lr).update(centers, grad_center)
+    input_optimizer.update(centers, grad_center, lr=lr)
     out_rows = np.concatenate([contexts, negatives.reshape(-1)])
     out_grads = np.concatenate(
         [
@@ -37,7 +42,10 @@ def concatenating_sgns_step(emb, context, centers, contexts, negatives, lr):
             (g_neg[..., None] * w_c[:, None, :]).reshape(-1, w_c.shape[1]),
         ]
     )
-    RowSGD(context, lr=lr).update(out_rows, out_grads)
+    context_optimizer.update(out_rows, out_grads, lr=lr)
+    eps = 1e-12
+    loss = -np.log(pos_sig + eps) - np.log(1.0 - neg_sig + eps).sum(axis=1)
+    return float(loss.mean())
 
 
 class TestSigmoid:
@@ -156,21 +164,43 @@ class TestTrainer:
 class TestBatchBuffer:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_bit_identical_to_concatenating_step(self, rng, dtype):
+        self.check_merged_step(rng, dtype, "sgd")
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_adam_bit_identical_to_concatenating_step(self, rng, dtype):
+        self.check_merged_step(rng, dtype, "adam")
+
+    @staticmethod
+    def check_merged_step(rng, dtype, optimizer):
         emb = rng.normal(0, 0.1, size=(30, 6)).astype(dtype)
         reference_emb = emb.copy()
         reference_context = np.zeros_like(emb)
-        trainer = SkipGramTrainer(emb, rng=rng)
-        for _ in range(5):
-            centers = rng.integers(0, 30, size=40).astype(np.int32)
-            contexts = rng.integers(0, 30, size=40).astype(np.int32)
-            negatives = rng.integers(0, 30, size=(40, 4))
-            trainer.train_batch(centers, contexts, negatives, lr=0.05)
-            concatenating_sgns_step(
-                reference_emb, reference_context,
-                centers, contexts, negatives, lr=0.05,
+        trainer = SkipGramTrainer(emb, rng=rng, optimizer=optimizer)
+        reference = [
+            make_row_optimizer(optimizer, matrix, lr=0.025)
+            for matrix in (reference_emb, reference_context)
+        ]
+        # the pipeline's index dtypes; the last batch is short
+        for size in (40, 40, 40, 40, 7):
+            centers = rng.integers(0, 30, size=size).astype(np.int32)
+            contexts = rng.integers(0, 30, size=size).astype(np.int32)
+            negatives = rng.integers(0, 30, size=(size, 4))
+            # node 5 is a center, a context and a negative of each batch
+            centers[0] = contexts[-1] = negatives[size // 2, 1] = 5
+            loss = trainer.train_batch(centers, contexts, negatives, lr=0.05)
+            want = concatenating_sgns_step(
+                *reference, centers, contexts, negatives, lr=0.05
             )
+            assert loss.hex() == want.hex()
         assert emb.tobytes() == reference_emb.tobytes()
         assert trainer.context.tobytes() == reference_context.tobytes()
+        if optimizer == "adam":
+            for got, want in zip(
+                (trainer.input_optimizer, trainer.context_optimizer), reference
+            ):
+                assert got._t == want._t
+                assert got._m.tobytes() == want._m.tobytes()
+                assert got._v.tobytes() == want._v.tobytes()
 
     def test_unique_negatives_metric(self, rng):
         from repro.engine.observability import MetricsRegistry
