@@ -19,10 +19,11 @@ Log-log regression slopes are printed and asserted with generous bands
 (wall-clock on small inputs is noisy).
 
 Run as a script, this module instead measures the *memory* side of the
-complexity story: peak bytes of the corpus -> skip-gram data path, dense
-(``build_corpus`` + ``CorpusPipeline``) against streaming
-(``stream_corpus`` + ``StreamingCorpusPipeline`` under a hard budget),
-on synthetic views up to a million-plus edges.  Results land in
+complexity story: peak bytes of the corpus -> skip-gram data path
+(``stream_corpus`` + ``StreamingCorpusPipeline``), unbudgeted — the
+whole corpus as one block, reported under the ``dense`` key — against
+a hard budget that cuts the corpus into many blocks (``streaming``), on
+synthetic views up to a million-plus edges.  Results land in
 ``BENCH_scaling.json`` at the repository root.
 
 Run::
@@ -53,12 +54,11 @@ from repro.core.cross_view import CrossViewTrainer, similarity_loss  # noqa: E40
 from repro.core.translator import Translator  # noqa: E402
 from repro.datasets import make_app_daily  # noqa: E402
 from repro.engine.pipeline import (  # noqa: E402
-    CorpusPipeline,
     StreamingCorpusPipeline,
     block_walks_for_budget,
 )
 from repro.graph import HeteroGraph, build_view_pairs, separate_views  # noqa: E402
-from repro.walks import LockstepWalker, build_corpus, stream_corpus  # noqa: E402
+from repro.walks import LockstepWalker, stream_corpus  # noqa: E402
 from repro.walks.corpus import corpus_index_dtype  # noqa: E402
 from repro.walks.policies import make_policy  # noqa: E402
 
@@ -155,7 +155,7 @@ def test_theorem1_complexity_scaling(benchmark, results_dir):
 
 
 # ---------------------------------------------------------------------------
-# standalone mode: peak memory of the corpus data path, dense vs streaming
+# standalone mode: peak memory of the corpus data path, one block vs a budget
 # ---------------------------------------------------------------------------
 
 FULL_MEMORY_SIZES = [(20_000, 120_000), (60_000, 420_000), (160_000, 1_200_000)]
@@ -191,43 +191,29 @@ def _drain(pipeline) -> int:
     return batches
 
 
-def measure_dense(view, seed: int) -> dict:
-    """Peak traced bytes of one dense epoch: full corpus, then batches."""
+def measure_epoch(view, seed: int, budget_bytes: int | None = None) -> dict:
+    """Peak traced bytes of one epoch, unbudgeted (one block) or under a
+    hard budget (blocks sized by ``block_walks_for_budget``)."""
     rng = np.random.default_rng(seed)
     walker = LockstepWalker(view, make_policy("biased"), rng=rng)
     walker.walk_batch(np.zeros(1, dtype=np.int64), 2)  # warm alias tables
-    tracemalloc.start()
-    start = time.perf_counter()
-    pipeline = CorpusPipeline(
-        sample_corpus=lambda: build_corpus(
-            view, walker, length=WALK_LENGTH, rng=rng
-        ),
-        num_nodes=view.num_nodes,
-        window=WINDOW,
-        num_negatives=NUM_NEGATIVES,
-        batch_size=BATCH_SIZE,
-        rng=rng,
+    # the trainer's layout: int64 unbudgeted, compact under a budget
+    index_dtype = (
+        np.dtype(np.int64)
+        if budget_bytes is None
+        else corpus_index_dtype(view.num_nodes)
     )
-    batches = _drain(pipeline)
-    elapsed = time.perf_counter() - start
-    _, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
-    return {"peak_bytes": peak, "seconds": elapsed, "batches": batches}
-
-
-def measure_streaming(view, seed: int, budget_bytes: int) -> dict:
-    """Peak traced bytes of one streaming epoch under a hard budget."""
-    rng = np.random.default_rng(seed)
-    walker = LockstepWalker(view, make_policy("biased"), rng=rng)
-    walker.walk_batch(np.zeros(1, dtype=np.int64), 2)  # warm alias tables
-    index_dtype = corpus_index_dtype(view.num_nodes)
-    block_walks = block_walks_for_budget(
-        budget_bytes,
-        length=WALK_LENGTH,
-        window=WINDOW,
-        num_negatives=NUM_NEGATIVES,
-        batch_size=BATCH_SIZE,
-        itemsize=index_dtype.itemsize,
+    block_walks = (
+        None
+        if budget_bytes is None
+        else block_walks_for_budget(
+            budget_bytes,
+            length=WALK_LENGTH,
+            window=WINDOW,
+            num_negatives=NUM_NEGATIVES,
+            batch_size=BATCH_SIZE,
+            itemsize=index_dtype.itemsize,
+        )
     )
     tracemalloc.start()
     start = time.perf_counter()
@@ -251,20 +237,21 @@ def measure_streaming(view, seed: int, budget_bytes: int) -> dict:
     elapsed = time.perf_counter() - start
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
-    return {
-        "peak_bytes": peak,
-        "seconds": elapsed,
-        "batches": batches,
-        "block_walks": block_walks,
-        "peak_block_bytes": pipeline.peak_block_bytes,
-        "under_budget": pipeline.peak_block_bytes <= budget_bytes,
-        "index_dtype": str(index_dtype),
-    }
+    result = {"peak_bytes": peak, "seconds": elapsed, "batches": batches}
+    if budget_bytes is not None:
+        result.update(
+            block_walks=block_walks,
+            peak_block_bytes=pipeline.peak_block_bytes,
+            under_budget=pipeline.peak_block_bytes <= budget_bytes,
+            index_dtype=str(index_dtype),
+        )
+    return result
 
 
 def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(
-        description="peak memory of the corpus data path, dense vs streaming"
+        description="peak memory of the corpus data path, one block vs a "
+        "budget"
     )
     parser.add_argument(
         "--fast",
@@ -297,12 +284,12 @@ def main(argv: list[str] | None = None) -> None:
             flush=True,
         )
         view = synthetic_heter_view(num_nodes, num_edges, args.seed)
-        dense = measure_dense(view, args.seed)
-        streaming = measure_streaming(view, args.seed, budget_bytes)
-        ratio = dense["peak_bytes"] / streaming["peak_bytes"]
+        one_block = measure_epoch(view, args.seed)
+        streaming = measure_epoch(view, args.seed, budget_bytes)
+        ratio = one_block["peak_bytes"] / streaming["peak_bytes"]
         print(
-            f"  dense     peak {dense['peak_bytes'] / 2**20:9.1f} MiB"
-            f"  {dense['seconds']:7.1f}s  {dense['batches']} batches"
+            f"  one block peak {one_block['peak_bytes'] / 2**20:9.1f} MiB"
+            f"  {one_block['seconds']:7.1f}s  {one_block['batches']} batches"
         )
         print(
             f"  streaming peak {streaming['peak_bytes'] / 2**20:9.1f} MiB"
@@ -316,7 +303,7 @@ def main(argv: list[str] | None = None) -> None:
             {
                 "nodes": view.num_nodes,
                 "edges": view.num_edges,
-                "dense": dense,
+                "dense": one_block,
                 "streaming": streaming,
                 "peak_reduction": ratio,
             }

@@ -4,12 +4,12 @@ Times :meth:`CrossViewTrainer.train_epoch` on synthetic view-pairs of
 growing size in three execution modes, all on the closed-form translator
 kernel (:mod:`repro.core.translator_kernel`):
 
-- *scalar* (``batched=False``): the per-chunk reference path — one
-  forward/backward, translator Adam step and two RowAdam updates per
-  ``(path_len, d)`` chunk (the literal Algorithm 1 loop);
-- *batched* (``batched=True``, no budget): all chunks of a direction in
-  one ``(num_chunks, path_len, d)`` batch, one optimizer step per
-  direction per epoch;
+- *scalar*: the per-chunk reference loop — one ``_train_step`` (forward/
+  backward, translator Adam step and two RowAdam updates) per one-chunk
+  ``(1, path_len)`` slice (the literal Algorithm 1 loop);
+- *batched* (the trainer, no budget): all chunks of a direction in one
+  ``(num_chunks, path_len, d)`` batch, one optimizer step per direction
+  per epoch;
 - *budgeted*: the batched step run in micro-batches sized by
   :func:`repro.engine.pipeline.cross_view_chunks_for_budget` from
   ``--budget-mb``.
@@ -37,6 +37,7 @@ import json
 import sys
 import time
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -105,12 +106,22 @@ def synthetic_view_pair(
     return build_view_pairs(views)[0]
 
 
+def per_chunk_direction(trainer, chunks, *step_args):
+    """The literal Algorithm 1 loop: one step per one-chunk slice."""
+    t_sum = r_sum = 0.0
+    for k in range(chunks.shape[0]):
+        t, r = trainer._train_step(chunks[k:k + 1], *step_args)
+        t_sum += t
+        r_sum += r
+    return t_sum, r_sum, chunks.shape[0]
+
+
 def make_trainer(
     pair,
     seed: int,
     paths_per_epoch: int,
     dim: int,
-    batched: bool = True,
+    per_chunk: bool = False,
     budget_bytes: int | None = None,
 ):
     rng = np.random.default_rng(seed)
@@ -123,9 +134,12 @@ def make_trainer(
         rng=rng,
         dim=dim,
         paths_per_epoch=paths_per_epoch,
-        batched=batched,
         budget_bytes=budget_bytes,
     )
+    if per_chunk:
+        trainer._train_direction = types.MethodType(
+            per_chunk_direction, trainer
+        )
     # warm the shared CSR/alias caches so one-time costs drop out
     trainer._sample_chunks(trainer.sub_i, trainer._walker_i, trainer._starts_i)
     trainer._sample_chunks(trainer.sub_j, trainer._walker_j, trainer._starts_j)
@@ -169,7 +183,7 @@ def bench_one_size(
 ) -> dict:
     num_users, num_items, num_tags, edges_per_view, paths = size
     pair = synthetic_view_pair(num_users, num_items, num_tags, edges_per_view, seed)
-    scalar = make_trainer(pair, seed, paths, dim, batched=False)
+    scalar = make_trainer(pair, seed, paths, dim, per_chunk=True)
     batched = make_trainer(pair, seed, paths, dim)
     budgeted = make_trainer(pair, seed, paths, dim, budget_bytes=budget_bytes)
 

@@ -46,7 +46,6 @@ from repro.engine.observability import (  # noqa: E402
 )
 from repro.engine.parallel import (  # noqa: E402
     ParallelRuntime,
-    PrefetchingSampler,
     single_view_seed,
 )
 from repro.graph import HeteroGraph, separate_views  # noqa: E402
@@ -124,41 +123,15 @@ def bench_one_size(
                 ),
                 repeats,
             )
-
-            # overlap demo: stream 4 prefetched epochs back to back
-            draws = iter(range(2, 100))
-            sampler = PrefetchingSampler(
-                runtime,
-                lambda index: lambda: runtime.build_corpus(
-                    view,
-                    policy,
-                    length=length,
-                    seed_seq=single_view_seed(seed, 0, index),
-                ),
-            )
-            start = next(draws)
-            prefetch_s = timed(
-                lambda: [sampler.corpus(i) for i in range(start, start + 2)],
-                1,
-            ) / 2
-            sampler.reset()
             snapshot = metrics.snapshot()
         entry["workers"][str(workers)] = {
             "parallel_s": parallel_s,
             "speedup": serial_s / parallel_s,
-            "prefetched_epoch_s": prefetch_s,
             "shared_bytes": snapshot["gauges"].get("parallel/shared_bytes"),
             "worker_seconds": {
                 name: stats
                 for name, stats in snapshot["timers"].items()
                 if name.startswith("parallel/worker/")
-            },
-            "prefetch": {
-                "hits": snapshot["counters"].get("parallel/prefetch/hits", 0),
-                "misses": snapshot["counters"].get(
-                    "parallel/prefetch/misses", 0
-                ),
-                "depth": snapshot["gauges"].get("parallel/prefetch/depth"),
             },
         }
     return entry
@@ -205,7 +178,6 @@ def main(argv: list[str] | None = None) -> None:
                 print(
                     f"  {workers}w  parallel {stats['parallel_s']:8.3f}s"
                     f"  speedup {stats['speedup']:5.2f}x"
-                    f"  prefetched epoch {stats['prefetched_epoch_s']:8.3f}s"
                 )
             results.append(entry)
 

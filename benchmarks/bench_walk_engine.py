@@ -7,9 +7,9 @@ heter-views of growing size, for both engines:
 
 - *scalar*: :class:`UniformWalker` / :class:`BiasedCorrelatedWalker`
   (one Python-level step per walk per iteration);
-- *batched*: :class:`BatchedUniformWalker` /
-  :class:`BatchedBiasedCorrelatedWalker` (one vectorized draw across all
-  active walks per iteration).
+- *batched*: :class:`LockstepWalker` with :class:`UniformPolicy` /
+  :class:`BiasedCorrelatedPolicy` (one vectorized draw across all active
+  walks per iteration).
 
 Both engines share the same cached CSR adjacency, so the comparison
 isolates the step loop itself.  Results land in ``BENCH_walks.json`` at
@@ -37,7 +37,7 @@ import numpy as np
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.engine import CorpusPipeline  # noqa: E402
+from repro.engine import StreamingCorpusPipeline  # noqa: E402
 from repro.engine.observability import (  # noqa: E402
     MetricsRegistry,
     RunReport,
@@ -45,11 +45,13 @@ from repro.engine.observability import (  # noqa: E402
 )
 from repro.graph import HeteroGraph, separate_views  # noqa: E402
 from repro.walks import (  # noqa: E402
-    BatchedBiasedCorrelatedWalker,
-    BatchedUniformWalker,
+    BiasedCorrelatedPolicy,
     BiasedCorrelatedWalker,
+    LockstepWalker,
+    UniformPolicy,
     UniformWalker,
     build_corpus,
+    stream_corpus,
 )
 
 FULL_SIZES = [(500, 3_000), (2_000, 12_000), (8_000, 48_000)]
@@ -88,10 +90,13 @@ def bench_one_size(
     view = synthetic_heter_view(num_nodes, num_edges, seed)
     rng = np.random.default_rng(seed)
     walkers = {
-        "uniform": (UniformWalker(view, rng=rng), BatchedUniformWalker(view, rng=rng)),
+        "uniform": (
+            UniformWalker(view, rng=rng),
+            LockstepWalker(view, UniformPolicy(), rng=rng),
+        ),
         "biased": (
             BiasedCorrelatedWalker(view, rng=rng),
-            BatchedBiasedCorrelatedWalker(view, rng=rng),
+            LockstepWalker(view, BiasedCorrelatedPolicy(), rng=rng),
         ),
     }
     # warm both engines: CSR + lazy alias tables are one-time shared costs
@@ -114,8 +119,8 @@ def bench_one_size(
         }
 
     def epoch(walker):
-        pipeline = CorpusPipeline(
-            sample_corpus=lambda: build_corpus(
+        pipeline = StreamingCorpusPipeline(
+            sample_blocks=lambda: stream_corpus(
                 view, walker, length=length, rng=rng
             ),
             num_nodes=view.num_nodes,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from pathlib import Path
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -16,10 +17,14 @@ from repro.engine import (
     NumericalHealthGuard,
     Phase,
     RunReport,
+    StreamingCorpusPipeline,
     Tracer,
     TrainingLoop,
 )
 from repro.graph.heterograph import HeteroGraph, NodeId
+from repro.graph.views import View
+from repro.walks import LockstepWalker, WalkPolicy, stream_corpus
+from repro.walks.corpus import WalkCorpus
 
 Embeddings = dict[NodeId, np.ndarray]
 
@@ -143,6 +148,43 @@ class EmbeddingMethod(ABC):
         """word2vec-style input initialization."""
         bound = 0.5 / self.dim
         return rng.uniform(-bound, bound, size=(num_rows, self.dim))
+
+    def _walk_pipeline(
+        self,
+        view_or_graph: View | HeteroGraph,
+        policy: WalkPolicy,
+        rng: np.random.Generator,
+        keep: Callable[[WalkCorpus], WalkCorpus] | None = None,
+    ) -> StreamingCorpusPipeline:
+        """SGNS batches over fresh ``policy`` walks, one block a draw.
+
+        For the walk-based subclasses, which set ``walk_length``,
+        ``walks_per_node``, ``window``, ``num_negatives`` and
+        ``batch_size``.  Each epoch walks ``walks_per_node`` times from
+        every admissible start; ``rng`` drives the walks, the shuffle and
+        the negatives.  ``keep`` rewrites each block before its pairs are
+        extracted.
+        """
+        walker = LockstepWalker(view_or_graph, policy, rng=rng)
+
+        def sample_blocks() -> Iterator[WalkCorpus]:
+            blocks = stream_corpus(
+                view_or_graph,
+                walker,
+                length=self.walk_length,
+                walks_per_node_override=self.walks_per_node,
+                rng=rng,
+            )
+            return blocks if keep is None else map(keep, blocks)
+
+        return StreamingCorpusPipeline(
+            sample_blocks,
+            num_nodes=walker.graph.num_nodes,
+            window=self.window,
+            num_negatives=self.num_negatives,
+            batch_size=self.batch_size,
+            rng=rng,
+        )
 
     def _as_dict(
         self, graph: HeteroGraph, matrix: np.ndarray

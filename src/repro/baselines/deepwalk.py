@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.engine import CorpusPipeline, SkipGramPhase
+from repro.engine import SkipGramPhase
 from repro.graph.heterograph import HeteroGraph
 from repro.skipgram import SkipGramTrainer
 from repro.walks import UniformPolicy
@@ -56,16 +56,7 @@ class DeepWalk(EmbeddingMethod):
         rng = self._rng()
         matrix = self._init_matrix(graph.num_nodes, rng)
         trainer = SkipGramTrainer(matrix, rng=rng)
-        pipeline = CorpusPipeline.for_policy(
-            graph,
-            UniformPolicy(),
-            length=self.walk_length,
-            window=self.window,
-            walks_per_node=self.walks_per_node,
-            num_negatives=self.num_negatives,
-            batch_size=self.batch_size,
-            rng=rng,
-        )
+        pipeline = self._walk_pipeline(graph, UniformPolicy(), rng)
         self._run_loop(
             [SkipGramPhase("sgns", pipeline, trainer, lr=self.lr)],
             self.epochs,

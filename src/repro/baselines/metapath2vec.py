@@ -12,10 +12,10 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.engine import CorpusPipeline, SkipGramPhase
+from repro.engine import SkipGramPhase
 from repro.graph.heterograph import HeteroGraph
 from repro.skipgram import SkipGramTrainer
-from repro.walks import LockstepWalker, MetapathPolicy, build_corpus
+from repro.walks import MetapathPolicy
 from repro.walks.corpus import WalkCorpus
 
 from repro.baselines.base import EmbeddingMethod, Embeddings
@@ -62,38 +62,24 @@ class Metapath2Vec(EmbeddingMethod):
         rng = self._rng()
         matrix = self._init_matrix(graph.num_nodes, rng)
         trainer = SkipGramTrainer(matrix, rng=rng)
-        walker = LockstepWalker(graph, MetapathPolicy(self.metapath), rng=rng)
-        starts = walker.policy.start_indices()
+        policy = MetapathPolicy(self.metapath).bind(graph)
+        starts = policy.start_indices()
         if starts is None or starts.size == 0:
             raise ValueError(
                 f"no nodes of type {self.metapath[0]!r} to start walks from"
             )
         visited = np.zeros(graph.num_nodes, dtype=bool)
 
-        def sample_corpus() -> WalkCorpus:
-            corpus = build_corpus(
-                graph,
-                walker,
-                length=self.walk_length,
-                walks_per_node_override=self.walks_per_node,
-                rng=rng,
-            )
+        def keep_moving(block: WalkCorpus) -> WalkCorpus:
             # walks that never left their start node carry no pairs and
             # do not count a node as embedded
-            keep = corpus.lengths >= 2
-            matrix, lengths = corpus.matrix[keep], corpus.lengths[keep]
+            keep = block.lengths >= 2
+            matrix, lengths = block.matrix[keep], block.lengths[keep]
             for row, n in zip(matrix, lengths):
                 visited[row[: int(n)]] = True
             return WalkCorpus(matrix, lengths, self.walk_length, graph)
 
-        pipeline = CorpusPipeline(
-            sample_corpus=sample_corpus,
-            num_nodes=graph.num_nodes,
-            window=self.window,
-            num_negatives=self.num_negatives,
-            batch_size=self.batch_size,
-            rng=rng,
-        )
+        pipeline = self._walk_pipeline(graph, policy, rng, keep=keep_moving)
         self._run_loop(
             [SkipGramPhase("sgns", pipeline, trainer, lr=self.lr)],
             self.epochs,

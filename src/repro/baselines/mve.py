@@ -21,9 +21,9 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.engine import CallablePhase, CorpusPipeline, Phase, SkipGramPhase
+from repro.engine import CallablePhase, Phase, SkipGramPhase
 from repro.graph.heterograph import HeteroGraph
-from repro.graph.views import View, separate_views
+from repro.graph.views import separate_views
 from repro.skipgram import SkipGramTrainer
 from repro.walks import UniformPolicy
 
@@ -61,20 +61,6 @@ class MVE(EmbeddingMethod):
         self.lr = lr
         self.consensus_pull = consensus_pull
         self.batch_size = batch_size
-
-    def _view_pipeline(
-        self, view: View, rng: np.random.Generator
-    ) -> CorpusPipeline:
-        return CorpusPipeline.for_policy(
-            view,
-            UniformPolicy(),
-            length=self.walk_length,
-            window=self.window,
-            walks_per_node=self.walks_per_node,
-            num_negatives=self.num_negatives,
-            batch_size=self.batch_size,
-            rng=rng,
-        )
 
     def fit(self, graph: HeteroGraph) -> Embeddings:
         rng = self._rng()
@@ -119,7 +105,7 @@ class MVE(EmbeddingMethod):
         phases: list[Phase] = [
             SkipGramPhase(
                 f"view:{view.edge_type}",
-                self._view_pipeline(view, rng),
+                self._walk_pipeline(view, UniformPolicy(), rng),
                 trainers[view.edge_type],
                 lr=self.lr,
             )

@@ -84,7 +84,6 @@ def _make_method(name: str, graph: HeteroGraph, args: argparse.Namespace):
         raise SystemExit("--trace needs --report")
     walk_policy = getattr(args, "walk_policy", None)
     workers = getattr(args, "workers", 0)
-    stream = getattr(args, "stream_corpus", False)
     corpus_budget_mb = getattr(args, "corpus_budget_mb", None)
     spill_dir = getattr(args, "spill_dir", None)
     on_spill_error = getattr(args, "on_spill_error", "degrade")
@@ -99,7 +98,6 @@ def _make_method(name: str, graph: HeteroGraph, args: argparse.Namespace):
                 checkpoint_every=checkpoint_every,
                 health_policy=health_policy,
                 workers=workers,
-                stream_corpus=stream,
                 corpus_budget_mb=corpus_budget_mb,
                 spill_dir=spill_dir,
                 on_spill_error=on_spill_error,
@@ -123,11 +121,10 @@ def _make_method(name: str, graph: HeteroGraph, args: argparse.Namespace):
                 "--workers is only supported for --method transn; "
                 "baselines sample their corpora serially"
             )
-        if stream or corpus_budget_mb is not None or spill_dir is not None:
+        if corpus_budget_mb is not None or spill_dir is not None:
             raise SystemExit(
-                "--stream-corpus/--corpus-budget-mb/--spill-dir are only "
-                "supported for --method transn; baselines materialize "
-                "their corpora"
+                "--corpus-budget-mb/--spill-dir are only supported for "
+                "--method transn; baselines draw each corpus as one block"
             )
         if shard_timeout is not None:
             raise SystemExit(
@@ -554,28 +551,21 @@ def _add_method_options(parser: argparse.ArgumentParser) -> None:
         "--workers",
         type=int,
         default=0,
-        help="corpus-generation worker processes for TransN (0 = serial, "
-        "bit-identical to the pre-parallel path; N >= 1 is deterministic "
-        "per N — see docs/parallelism.md)",
-    )
-    parser.add_argument(
-        "--stream-corpus",
-        action="store_true",
-        help="TransN only: stream walk corpora as bounded blocks instead "
-        "of materializing them (docs/performance.md)",
+        help="corpus-generation worker processes for TransN (0 = serial; "
+        "N >= 1 is deterministic per N — see docs/parallelism.md)",
     )
     parser.add_argument(
         "--corpus-budget-mb",
         type=float,
         default=None,
-        help="hard peak-memory budget (MiB) for the streaming corpus data "
-        "path; needs --stream-corpus",
+        help="TransN only: hard peak-memory budget (MiB) for the corpus "
+        "data path and the cross-view step (docs/performance.md)",
     )
     parser.add_argument(
         "--spill-dir",
         default=None,
         help="directory for on-disk corpus spill files (record once, "
-        "mmap-replay later epochs); needs --stream-corpus",
+        "mmap-replay later epochs)",
     )
     parser.add_argument(
         "--on-spill-error",

@@ -55,9 +55,6 @@ class TransNConfig:
             update (0 disables rebalancing).
 
         use_cross_view: Table V "TransN-Without-Cross-View" when False.
-        simple_walk: Table V "TransN-With-Simple-Walk" when True
-            (uniform, weight-blind walks) — shorthand for
-            ``walk_policy="uniform"``, kept for the ablation presets.
         simple_translator: Table V "TransN-With-Simple-Translator" when
             True (a single feed-forward layer per translator).
         use_translation_tasks: Table V "TransN-Without-Translation-Tasks"
@@ -68,11 +65,6 @@ class TransNConfig:
             well-posed reading of Eqs. 11-14; see DESIGN.md §2).  False
             gives the literal unnormalized inner product, kept for the
             design-ablation bench.
-        batched_cross_view: take one translator Adam step and one
-            RowAdam update per direction per epoch over all of its
-            cross-view chunks (the minibatch reading of Algorithm 1,
-            DESIGN.md §2).  False keeps the per-chunk reference path: one
-            optimizer step per chunk.
         view_weighting: how a node's view-specific embeddings combine
             into its final embedding.  "uniform" is the paper's equal
             average (Section III-C); "degree" — an extension beyond the
@@ -86,30 +78,20 @@ class TransNConfig:
             ("raise", "rollback", or "skip"); ``None`` disables the
             guard.  Training infrastructure, not part of Algorithm 1.
         workers: corpus-generation worker processes (0 = the serial
-            path, bit-identical to the pre-parallel implementation).
-            Any ``workers >= 1`` builds corpora through the
+            path: every draw comes off the model RNG).  Any
+            ``workers >= 1`` builds corpora through the
             :class:`repro.engine.ParallelRuntime` (shared-memory CSR +
             process pool) and trains view-disjoint cross-view pairs
             concurrently; results are deterministic for a fixed worker
             count but follow a different random stream than ``workers=0``
             (``docs/parallelism.md``).  Training infrastructure, not
             part of Algorithm 1.
-        prefetch: overlap next-epoch corpus generation with the current
-            epoch's training (needs ``workers >= 1``).  ``None`` (the
-            default) enables prefetch whenever workers are on and the
-            walk policy is not relation-balanced — under balancing a
-            prefetched corpus would use a one-epoch-stale walk share,
-            so it must be opted into explicitly with ``True``.
-        stream_corpus: generate each view's corpus as fixed-size walk
-            blocks consumed immediately (``docs/performance.md``): peak
-            memory is bounded by the block size instead of the corpus.
-            With ``workers=0`` and a single block per epoch (the default
-            when no budget forces smaller blocks) the batch stream is
-            bit-identical to the dense path; under a budget or with
-            workers the stream is deterministic but its own.  Training
-            infrastructure, not part of Algorithm 1.
-        corpus_budget_mb: hard peak-memory budget (MiB) for the
-            streaming data path and the cross-view step.  Walk-block
+        stream_corpus: must be True.  Every corpus draw is a stream of
+            walk blocks consumed as they are sampled
+            (``docs/performance.md``); the field stays so existing
+            configurations that set it keep constructing.
+        corpus_budget_mb: hard peak-memory budget (MiB) for the corpus
+            data path and the cross-view step.  Walk-block
             sizes are derived from it
             (:func:`repro.engine.block_walks_for_budget`) and the
             pipeline raises if a block would exceed it; each cross-view
@@ -121,14 +103,12 @@ class TransNConfig:
             minimum grows with ``cross_paths_per_pair × walk_length``
             (the rows one step can touch), not with the graph.  Budgeted runs are
             deterministic per budget; without one, a corpus draw is one
-            block and a direction one batch.  Needs
-            ``stream_corpus=True``.
+            block and a direction one batch.
         spill_dir: directory for on-disk corpus spill files.  The first
             corpus draw of each view is appended block-by-block to
             ``<spill_dir>/view<code>.spill``; later draws mmap-replay
-            the file instead of re-walking the graph.  Needs
-            ``stream_corpus=True``; conflicts with the
-            relation-balanced policy (its per-epoch walk shares need
+            the file instead of re-walking the graph.  Conflicts with
+            the relation-balanced policy (its per-epoch walk shares need
             fresh draws).
         on_spill_error: "degrade" (default) survives a corrupt,
             truncated, or unwritable spill file — the incident lands in
@@ -169,20 +149,17 @@ class TransNConfig:
     balance_strength: float = 1.0
 
     use_cross_view: bool = True
-    simple_walk: bool = False
     simple_translator: bool = False
     use_translation_tasks: bool = True
     use_reconstruction_tasks: bool = True
     normalize_similarity: bool = True
-    batched_cross_view: bool = True
     view_weighting: str = "uniform"
 
     checkpoint_every: int = 1
     health_policy: str | None = None
     workers: int = 0
-    prefetch: bool | None = None
 
-    stream_corpus: bool = False
+    stream_corpus: bool = True
     corpus_budget_mb: float | None = None
     spill_dir: str | None = None
     on_spill_error: str = "degrade"
@@ -226,11 +203,11 @@ class TransNConfig:
         require(self.batch_size >= 1, "batch_size", "must be >= 1")
         require(self.checkpoint_every >= 1, "checkpoint_every", "must be >= 1")
         require(self.workers >= 0, "workers", "must be >= 0")
-        if self.prefetch and self.workers < 1:
-            raise ValueError(
-                "prefetch=True needs workers >= 1 (the background build "
-                f"runs on the worker pool), got workers={self.workers}"
-            )
+        require(
+            self.stream_corpus is True,
+            "stream_corpus",
+            "must be True (every corpus is streamed)",
+        )
         if self.dtype not in ("float32", "float64"):
             raise ValueError(
                 f"unknown dtype {self.dtype!r}; "
@@ -242,23 +219,15 @@ class TransNConfig:
                 "corpus_budget_mb",
                 "must be > 0",
             )
-            if not self.stream_corpus:
-                raise ValueError(
-                    "corpus_budget_mb bounds the streaming data path and "
-                    "needs stream_corpus=True"
-                )
-        if self.spill_dir is not None:
-            if not self.stream_corpus:
-                raise ValueError(
-                    "spill_dir replays streamed corpus blocks and needs "
-                    "stream_corpus=True"
-                )
-            if self.walk_policy == "relation-balanced":
-                raise ValueError(
-                    "spill_dir conflicts with walk_policy="
-                    "'relation-balanced': replayed corpora would ignore "
-                    "the per-epoch walk shares"
-                )
+        if (
+            self.spill_dir is not None
+            and self.walk_policy == "relation-balanced"
+        ):
+            raise ValueError(
+                "spill_dir conflicts with walk_policy="
+                "'relation-balanced': replayed corpora would ignore "
+                "the per-epoch walk shares"
+            )
         if self.on_spill_error not in ("degrade", "raise"):
             raise ValueError(
                 f"unknown on_spill_error {self.on_spill_error!r}; "
@@ -271,12 +240,6 @@ class TransNConfig:
                     "shard_timeout watches parallel corpus shards and "
                     f"needs workers >= 1, got workers={self.workers}"
                 )
-        if self.stream_corpus and self.prefetch:
-            raise ValueError(
-                "prefetch=True double-buffers whole corpora and conflicts "
-                "with stream_corpus=True (blocks already overlap work); "
-                "leave prefetch unset"
-            )
         if self.walk_policy not in POLICY_NAMES:
             raise ValueError(
                 f"unknown walk_policy {self.walk_policy!r}; "
@@ -288,11 +251,6 @@ class TransNConfig:
         require(
             self.balance_strength >= 0, "balance_strength", "must be >= 0"
         )
-        if self.simple_walk and self.walk_policy not in ("biased", "uniform"):
-            raise ValueError(
-                "simple_walk=True forces uniform walks and conflicts with "
-                f"walk_policy={self.walk_policy!r}; set one or the other"
-            )
         if self.view_weighting not in ("uniform", "degree"):
             raise ValueError(
                 f"unknown view_weighting {self.view_weighting!r}; "
@@ -309,11 +267,6 @@ class TransNConfig:
                     "cross-view training needs at least one of the "
                     "translation/reconstruction tasks enabled"
                 )
-
-    @property
-    def resolved_walk_policy(self) -> str:
-        """The effective policy name (``simple_walk`` wins as "uniform")."""
-        return "uniform" if self.simple_walk else self.walk_policy
 
     @property
     def resolved_dtype(self):
@@ -336,7 +289,7 @@ class TransNConfig:
         return replace(self, use_cross_view=False)
 
     def with_simple_walk(self) -> "TransNConfig":
-        return replace(self, simple_walk=True)
+        return replace(self, walk_policy="uniform")
 
     def with_simple_translator(self) -> "TransNConfig":
         return replace(self, simple_translator=True)

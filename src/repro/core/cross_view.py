@@ -17,15 +17,15 @@ row-wise inner product.  As recorded in DESIGN.md §2 we minimize
 ``1 - cosine`` of corresponding rows by default (the well-posed reading);
 ``normalize=False`` gives the literal unnormalized ``-<a, b>``.
 
-Batching: by default (``batched=True``) the trainer gathers *all* chunks
-of a direction into ``(num_chunks, path_len, d)`` arrays and applies
-**one** translator Adam step plus one aggregated :class:`RowAdam` update
-per direction per epoch — the minibatch reading of Algorithm 1's
-per-path steps (DESIGN.md §2).  ``batched=False`` keeps the per-chunk
-reference path: one step per chunk, matching the paper's loop literally.
+Batching: the trainer gathers *all* chunks of a direction into
+``(num_chunks, path_len, d)`` arrays and applies **one** translator Adam
+step plus one aggregated :class:`RowAdam` update per direction per epoch
+— the minibatch reading of Algorithm 1's per-path steps (DESIGN.md §2).
+The paper's loop read literally, one step per chunk, is the test oracle
+in ``tests/core/cross_view_oracle.py``.
 
-Both modes run the closed-form forward/backward of
-:mod:`repro.core.translator_kernel`, never the autograd tape.  A step
+A step runs the closed-form forward/backward of
+:mod:`repro.core.translator_kernel`, never the autograd tape, and
 processes its chunks in micro-batches sized from the memory budget
 (:func:`repro.engine.pipeline.cross_view_chunks_for_budget`); without a
 budget a direction is one micro-batch.
@@ -53,11 +53,7 @@ from repro.nn.optim import (
     make_row_optimizer,
     segment_sum,
 )
-from repro.walks import (
-    BiasedCorrelatedPolicy,
-    LockstepWalker,
-    UniformPolicy,
-)
+from repro.walks import BiasedCorrelatedPolicy, LockstepWalker
 from repro.walks.corpus import WalkCorpus, chunk_paths, filter_to_nodes
 
 from repro.core.translator import make_translator
@@ -152,12 +148,10 @@ class CrossViewTrainer:
         paths_per_epoch: int = 80,
         lr_cross: float = 0.01,
         lr_cross_embeddings: float | None = None,
-        simple_walk: bool = False,
         simple_translator: bool = False,
         use_translation_tasks: bool = True,
         use_reconstruction_tasks: bool = True,
         normalize_similarity: bool = True,
-        batched: bool = True,
         policy_factory=None,
         budget_bytes: int | None = None,
         step_lock: threading.Lock | None = None,
@@ -173,7 +167,6 @@ class CrossViewTrainer:
         self.use_translation = use_translation_tasks
         self.use_reconstruction = use_reconstruction_tasks
         self.normalize = normalize_similarity
-        self.batched = batched
 
         self.metrics: MetricsRegistry = NULL_REGISTRY
         self._metric_scope = ""  # set per direction while training
@@ -181,9 +174,7 @@ class CrossViewTrainer:
         self.sub_i, self.sub_j = paired_subviews(pair)
         # one fresh policy instance per subview (policies bind to one graph)
         if policy_factory is None:
-            policy_factory = (
-                UniformPolicy if simple_walk else BiasedCorrelatedPolicy
-            )
+            policy_factory = BiasedCorrelatedPolicy
         self._walker_i = LockstepWalker(self.sub_i, policy_factory(), rng=rng)
         self._walker_j = LockstepWalker(self.sub_j, policy_factory(), rng=rng)
 
@@ -405,27 +396,17 @@ class CrossViewTrainer:
     ) -> tuple[float, float, int]:
         """Train one direction on its whole ``(num_chunks, path_len)`` matrix.
 
-        Batched mode takes one :meth:`_train_step` over every chunk: its
-        Eq. 11-14 losses are means over chunks, with one translator Adam
-        step and one aggregated RowAdam update per side.  The per-chunk
-        reference mode (``batched=False``) takes one step per chunk, the
-        paper's loop read literally.  Returns summed (translation,
-        reconstruction) losses and the number of chunks processed, so the
-        caller's per-path averaging is identical in both modes.
+        One :meth:`_train_step` over every chunk: its Eq. 11-14 losses
+        are means over chunks, with one translator Adam step and one
+        aggregated RowAdam update per side.  Returns summed (translation,
+        reconstruction) losses and the number of chunks processed, for
+        the caller's per-path averaging.
         """
         num_chunks = chunks.shape[0]
         if num_chunks == 0:
             return 0.0, 0.0, 0
-        if self.batched:
-            t, r = self._train_step(chunks, *step_args)
-            return t * num_chunks, r * num_chunks, num_chunks
-        t_sum = 0.0
-        r_sum = 0.0
-        for k in range(num_chunks):
-            t, r = self._train_step(chunks[k:k + 1], *step_args)
-            t_sum += t
-            r_sum += r
-        return t_sum, r_sum, num_chunks
+        t, r = self._train_step(chunks, *step_args)
+        return t * num_chunks, r * num_chunks, num_chunks
 
     def train_epoch(
         self, rng: np.random.Generator | None = None

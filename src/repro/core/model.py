@@ -49,9 +49,11 @@ CROSS_VIEW_PHASE = "cross_view"
 
 # config fields that may differ between a checkpoint and the model
 # resuming from it: they steer the training *run* (how long, how it is
-# snapshotted/guarded) rather than the trajectory-defining hyper-parameters
+# snapshotted/guarded) rather than the trajectory-defining hyper-parameters.
+# ``stream_corpus`` has one legal value; checkpoints of the removed dense
+# path hold False, and its serial draws were the one-block stream's.
 _RESUME_EXEMPT_CONFIG_FIELDS = frozenset(
-    {"num_iterations", "checkpoint_every", "health_policy"}
+    {"num_iterations", "checkpoint_every", "health_policy", "stream_corpus"}
 )
 
 
@@ -179,25 +181,6 @@ class TransN:
         )
         if self._parallel is not None:
             weakref.finalize(self, self._parallel.shutdown)
-        balancing_possible = (
-            cfg.resolved_walk_policy == "relation-balanced"
-            and cfg.balance_strength > 0
-            and len(self.views) > 1
-        )
-        # under relation balancing a prefetched corpus would use a
-        # one-epoch-stale walk share, so prefetch is opt-in there; under
-        # streaming, double-buffering whole corpora would defeat the
-        # bounded-memory point, so prefetch stays off (config validation
-        # rejects an explicit prefetch=True)
-        prefetch = (
-            cfg.prefetch
-            if cfg.prefetch is not None
-            else (
-                self._parallel is not None
-                and not balancing_possible
-                and not cfg.stream_corpus
-            )
-        )
         self._cross_steps = 0  # cross-view step clock (parallel rng key)
 
         self.single_trainers = [
@@ -212,10 +195,8 @@ class TransN:
                 batch_size=cfg.batch_size,
                 policy=self._view_policy(),
                 parallel=self._parallel,
-                prefetch=bool(prefetch),
                 seed=cfg.seed,
                 view_code=view_code,
-                stream_corpus=cfg.stream_corpus,
                 corpus_budget_bytes=cfg.corpus_budget_bytes,
                 spill_path=(
                     Path(cfg.spill_dir) / f"view{view_code}.spill"
@@ -251,7 +232,6 @@ class TransN:
                 use_translation_tasks=cfg.use_translation_tasks,
                 use_reconstruction_tasks=cfg.use_reconstruction_tasks,
                 normalize_similarity=cfg.normalize_similarity,
-                batched=cfg.batched_cross_view,
                 budget_bytes=cfg.corpus_budget_bytes,
                 step_lock=step_lock,
             )
@@ -284,7 +264,7 @@ class TransN:
         """
         cfg = self.config
         return make_policy(
-            cfg.resolved_walk_policy,
+            cfg.walk_policy,
             p=cfg.walk_p,
             q=cfg.walk_q,
             type_switch=cfg.type_switch,
@@ -522,7 +502,7 @@ class TransN:
         # the relation balancer feeds on recorded per-view losses, so it
         # forces the metrics registry on even without a report request
         balancing = (
-            self.config.resolved_walk_policy == "relation-balanced"
+            self.config.walk_policy == "relation-balanced"
             and self.config.balance_strength > 0
             and len(self.single_trainers) > 1
         )

@@ -4,7 +4,7 @@ Per view: sample biased correlated random walks, extract context pairs
 under the Definition-6 window (1 on homo-views, 2 on heter-views), and
 run skip-gram-with-negative-sampling SGD steps on the view-specific
 embedding matrix.  Batching and negative sampling go through the shared
-:class:`repro.engine.CorpusPipeline`.
+:class:`repro.engine.StreamingCorpusPipeline`.
 """
 
 from __future__ import annotations
@@ -13,22 +13,17 @@ import copy
 from pathlib import Path
 from typing import Iterator
 
-from repro.engine import CorpusPipeline, StreamingCorpusPipeline
+from repro.engine import StreamingCorpusPipeline
 from repro.engine.observability import NULL_REGISTRY, MetricsRegistry
-from repro.engine.parallel import (
-    ParallelRuntime,
-    PrefetchingSampler,
-    single_view_seed,
-)
+from repro.engine.parallel import ParallelRuntime, single_view_seed
 from repro.engine.pipeline import block_walks_for_budget
 from repro.graph.views import View
 from repro.skipgram import SkipGramTrainer, window_for_view
 from repro.walks import (
     BiasedCorrelatedPolicy,
     LockstepWalker,
-    UniformPolicy,
     WalkPolicy,
-    build_corpus,
+    build_corpus,  # noqa: F401 - perfbench/ledger.py patches this name
 )
 from repro.walks.corpus import (
     WalkCorpus,
@@ -39,11 +34,6 @@ from repro.walks.spill import SpillFormatError, SpillReader, SpillWriter
 
 import numpy as np
 
-#: streaming block size when no byte budget derives one — small enough to
-#: bound memory on big views, large enough that the goldens' toy corpora
-#: fit in a single block (where streaming is bit-identical to dense)
-DEFAULT_BLOCK_WALKS = 8192
-
 
 class SingleViewTrainer:
     """Owns one view's walks, batch pipeline, and SGNS updates.
@@ -53,12 +43,9 @@ class SingleViewTrainer:
         embeddings: the view-specific embedding matrix, shape
             (view.num_nodes, dim), indexed by ``view.graph.index_of``;
             shared with the cross-view trainer and updated in place.
-        simple_walk: use uniform weight-blind walks (Table V ablation);
-            ignored when ``policy`` is given.
         policy: an explicit :class:`repro.walks.WalkPolicy` instance for
             this view (the pluggable strategy layer); ``None`` selects
-            the paper's biased-correlated walk (or uniform under
-            ``simple_walk``).
+            the paper's biased-correlated walk.
         walk_length / walk_floor / walk_cap: corpus parameters.
         num_negatives: negatives per positive pair.
         batch_size: SGD minibatch size.
@@ -67,26 +54,19 @@ class SingleViewTrainer:
             paper-faithful word2vec update; ``"adam"`` is the engine
             extension).
         parallel: a :class:`repro.engine.ParallelRuntime` to build
-            corpora on (``None`` keeps the serial path bit-identical to
-            the pre-parallel implementation).
-        prefetch: overlap the next corpus build with training (needs
-            ``parallel``).
+            corpora on (``None`` draws every walk from ``rng``, the
+            determinism-golden path).
         seed / view_code: key the deterministic per-draw seed stream of
             the parallel path (``single_view_seed(seed, view_code, t)``);
             unused when ``parallel`` is ``None``.
-        stream_corpus: consume the corpus as fixed-size walk blocks
-            through a :class:`repro.engine.StreamingCorpusPipeline`
-            instead of materializing it (``docs/performance.md``).
-            Incompatible with ``prefetch`` (blocks already bound the
-            resident set; double-buffering would re-materialize it).
-        corpus_budget_bytes: hard peak-memory budget for the streaming
-            data path; sizes blocks via
-            :func:`repro.engine.block_walks_for_budget`.  Without it,
-            blocks hold :data:`DEFAULT_BLOCK_WALKS` walks.
+        corpus_budget_bytes: hard peak-memory budget for the corpus data
+            path; sizes blocks via
+            :func:`repro.engine.block_walks_for_budget`.  Without it, a
+            corpus draw is one block.
         spill_path: corpus spill file.  When the file exists it is
             mmap-replayed instead of walking the view; otherwise the
             next draw's blocks are recorded to it (atomically — a
-            half-written draw leaves no file).  Streaming only.
+            half-written draw leaves no file).
         on_spill_error: ``"degrade"`` (default) survives a corrupt,
             truncated, or unwritable spill — the incident is recorded
             (``spill/degraded`` counter + event), the spill is disabled
@@ -108,14 +88,11 @@ class SingleViewTrainer:
         walk_cap: int = 8,
         num_negatives: int = 5,
         batch_size: int = 256,
-        simple_walk: bool = False,
         optimizer: str = "sgd",
         policy: WalkPolicy | None = None,
         parallel: ParallelRuntime | None = None,
-        prefetch: bool = False,
         seed: int = 0,
         view_code: int = 0,
-        stream_corpus: bool = False,
         corpus_budget_bytes: int | None = None,
         spill_path: str | Path | None = None,
         on_spill_error: str = "degrade",
@@ -138,10 +115,8 @@ class SingleViewTrainer:
         self.num_negatives = num_negatives
         self.batch_size = batch_size
         self.window = window_for_view(view)
-        if policy is None:
-            policy = UniformPolicy() if simple_walk else BiasedCorrelatedPolicy()
-        self.policy = policy
-        self.walker = LockstepWalker(view, policy, rng=rng)
+        self.policy = policy if policy is not None else BiasedCorrelatedPolicy()
+        self.walker = LockstepWalker(view, self.policy, rng=rng)
         self.walk_scale = 1.0  # RelationBalancer's per-view share knob
         self.trainer = SkipGramTrainer(embeddings, rng=rng, optimizer=optimizer)
         self.metrics: MetricsRegistry = NULL_REGISTRY
@@ -150,7 +125,6 @@ class SingleViewTrainer:
         self.seed = seed
         self.view_code = view_code
         self._draws = 0  # monotonic corpus-draw clock, checkpointed
-        self.stream_corpus = bool(stream_corpus)
         self.corpus_budget_bytes = corpus_budget_bytes
         self.spill_path = Path(spill_path) if spill_path is not None else None
         self.on_spill_error = on_spill_error
@@ -158,113 +132,49 @@ class SingleViewTrainer:
         #: regeneration state captured at record time (mode + seed/state
         #: + count_scale); lets a degraded run re-derive the lost draw
         self._spill_recording: dict | None = None
-        if self.stream_corpus and prefetch:
-            raise ValueError(
-                "stream_corpus and prefetch are mutually exclusive"
-            )
-        if self.spill_path is not None and not self.stream_corpus:
-            raise ValueError("spill_path needs stream_corpus=True")
-        self._prefetcher = (
-            PrefetchingSampler(parallel, self._corpus_task)
-            if parallel is not None and prefetch
-            else None
+        # compact int32 blocks halve a budgeted block and a spill file;
+        # unbudgeted draws keep int64 indices: with int32 ones the first
+        # single-view epoch of a process ran about 25% slower (measured
+        # on perfbench's fit-sgns graph)
+        self._index_dtype = (
+            corpus_index_dtype(view.num_nodes)
+            if corpus_budget_bytes is not None or spill_path is not None
+            else np.dtype(np.int64)
         )
-        if self.stream_corpus:
-            self._index_dtype = corpus_index_dtype(view.num_nodes)
-            if corpus_budget_bytes is not None:
-                self._block_walks = block_walks_for_budget(
-                    corpus_budget_bytes,
-                    walk_length,
-                    self.window,
-                    num_negatives,
-                    batch_size,
-                    itemsize=self._index_dtype.itemsize,
-                )
-            else:
-                self._block_walks = DEFAULT_BLOCK_WALKS
-            self.pipeline = StreamingCorpusPipeline(
-                sample_blocks=self.sample_blocks,
-                num_nodes=view.num_nodes,
-                window=self.window,
-                num_negatives=num_negatives,
-                batch_size=batch_size,
-                rng=rng,
-                budget_bytes=corpus_budget_bytes,
-                noise_dtype=embeddings.dtype,
+        self._block_walks = (
+            None
+            if corpus_budget_bytes is None
+            else block_walks_for_budget(
+                corpus_budget_bytes,
+                walk_length,
+                self.window,
+                num_negatives,
+                batch_size,
+                itemsize=self._index_dtype.itemsize,
             )
-        else:
-            self.pipeline = CorpusPipeline(
-                sample_corpus=self.sample_corpus,
-                num_nodes=view.num_nodes,
-                window=self.window,
-                num_negatives=num_negatives,
-                batch_size=batch_size,
-                rng=rng,
-            )
+        )
+        self.pipeline = StreamingCorpusPipeline(
+            sample_blocks=self.sample_blocks,
+            num_nodes=view.num_nodes,
+            window=self.window,
+            num_negatives=num_negatives,
+            batch_size=batch_size,
+            rng=rng,
+            budget_bytes=corpus_budget_bytes,
+            noise_dtype=embeddings.dtype,
+        )
 
     # ------------------------------------------------------------------
-    def sample_corpus(self) -> WalkCorpus:
-        """One round of walks under the degree-based count policy.
-
-        Serial without a runtime (the determinism-golden path); with one,
-        walks fan out over the worker pool under the per-draw seed
-        stream, optionally taken from the prefetcher's double buffer.
-        The corpus is kept around so :meth:`evaluate_loss` can score
-        monitoring pairs without resampling the whole view.
-        """
-        if self.parallel is None:
-            self._last_corpus = build_corpus(
-                self.view,
-                self.walker,
-                length=self.walk_length,
-                floor=self.walk_floor,
-                cap=self.walk_cap,
-                rng=self.rng,
-                count_scale=self.walk_scale,
-            )
-        elif self._prefetcher is not None:
-            self._last_corpus = self._prefetcher.corpus(self._draws)
-            self._draws += 1
-        else:
-            self._last_corpus = self._corpus_task(self._draws)()
-            self._draws += 1
-        return self._last_corpus
-
-    def _corpus_task(self, draw: int):
-        """A zero-arg builder of draw ``draw``'s corpus.
-
-        Called on the training thread at schedule time, so the balancer's
-        current ``walk_scale`` is captured here — the returned closure
-        reads no trainer state and can run on a prefetch thread.
-        """
-        count_scale = self.walk_scale
-        seed_seq = single_view_seed(self.seed, self.view_code, draw)
-
-        def build() -> WalkCorpus:
-            return self.parallel.build_corpus(
-                self.view,
-                self.policy,
-                length=self.walk_length,
-                floor=self.walk_floor,
-                cap=self.walk_cap,
-                count_scale=count_scale,
-                seed_seq=seed_seq,
-                label=f"single_view/{self.view.edge_type}",
-            )
-
-        return build
-
-    # ------------------------------------------------------------------
-    # streaming corpus path
+    # corpus draws
     # ------------------------------------------------------------------
     def sample_blocks(self) -> Iterator[WalkCorpus]:
         """One corpus draw as a lazy stream of walk blocks.
 
         Serial (``parallel=None``): blocks come off the shared trainer
-        RNG in the dense path's exact consumption order, so a draw that
-        fits one block is bit-identical to :meth:`sample_corpus`.  With
-        a runtime, blocks derive from the per-draw seed stream — a
-        deterministic stream of its own (``docs/parallelism.md``).
+        RNG.  With a runtime, blocks derive from the per-draw seed
+        stream (``docs/parallelism.md``).  Without a budget a draw is
+        one block.  The newest block is kept so :meth:`evaluate_loss`
+        can score monitoring pairs without resampling the whole view.
 
         With a :attr:`spill_path`, an existing file is CRC-verified and
         mmap-replayed (no walking, no RNG consumption); otherwise this
@@ -290,16 +200,8 @@ class SingleViewTrainer:
                     "state": copy.deepcopy(self.rng.bit_generator.state),
                     "count_scale": self.walk_scale,
                 }
-            blocks = stream_walk_corpus(
-                self.view,
-                self.walker,
-                length=self.walk_length,
-                floor=self.walk_floor,
-                cap=self.walk_cap,
-                rng=self.rng,
-                count_scale=self.walk_scale,
-                block_walks=self._block_walks,
-                index_dtype=self._index_dtype,
+            blocks = self._serial_blocks(
+                self.walker, self.rng, self.walk_scale
             )
         else:
             seed_seq = single_view_seed(self.seed, self.view_code, self._draws)
@@ -310,21 +212,44 @@ class SingleViewTrainer:
                     "seed_seq": seed_seq,
                     "count_scale": self.walk_scale,
                 }
-            blocks = self.parallel.stream_corpus(
-                self.view,
-                self.policy,
-                length=self.walk_length,
-                block_walks=self._block_walks,
-                floor=self.walk_floor,
-                cap=self.walk_cap,
-                count_scale=self.walk_scale,
-                seed_seq=seed_seq,
-                index_dtype=self._index_dtype,
-                label=f"single_view/{self.view.edge_type}",
-            )
+            blocks = self._parallel_blocks(seed_seq, self.walk_scale)
         if recording:
             blocks = self._record_blocks(blocks)
         return self._track_last(blocks)
+
+    def _serial_blocks(
+        self,
+        walker: LockstepWalker,
+        rng: np.random.Generator,
+        count_scale: float,
+    ) -> Iterator[WalkCorpus]:
+        return stream_walk_corpus(
+            self.view,
+            walker,
+            length=self.walk_length,
+            floor=self.walk_floor,
+            cap=self.walk_cap,
+            rng=rng,
+            count_scale=count_scale,
+            block_walks=self._block_walks,
+            index_dtype=self._index_dtype,
+        )
+
+    def _parallel_blocks(
+        self, seed_seq: np.random.SeedSequence, count_scale: float
+    ) -> Iterator[WalkCorpus]:
+        return self.parallel.stream_corpus(
+            self.view,
+            self.policy,
+            length=self.walk_length,
+            block_walks=self._block_walks,
+            floor=self.walk_floor,
+            cap=self.walk_cap,
+            count_scale=count_scale,
+            seed_seq=seed_seq,
+            index_dtype=self._index_dtype,
+            label=f"single_view/{self.view.edge_type}",
+        )
 
     def _spill_incident(self, stage: str, error: BaseException) -> None:
         """Record a spill failure and disable the spill for this run.
@@ -381,63 +306,27 @@ class SingleViewTrainer:
         recording = self._spill_recording
         if recording is None:
             if self.parallel is None:
-                yield from stream_walk_corpus(
-                    self.view,
-                    self.walker,
-                    length=self.walk_length,
-                    floor=self.walk_floor,
-                    cap=self.walk_cap,
-                    rng=self.rng,
-                    count_scale=self.walk_scale,
-                    block_walks=self._block_walks,
-                    index_dtype=self._index_dtype,
+                yield from self._serial_blocks(
+                    self.walker, self.rng, self.walk_scale
                 )
             else:
                 seed_seq = single_view_seed(
                     self.seed, self.view_code, self._draws
                 )
                 self._draws += 1
-                yield from self.parallel.stream_corpus(
-                    self.view,
-                    self.policy,
-                    length=self.walk_length,
-                    block_walks=self._block_walks,
-                    floor=self.walk_floor,
-                    cap=self.walk_cap,
-                    count_scale=self.walk_scale,
-                    seed_seq=seed_seq,
-                    index_dtype=self._index_dtype,
-                    label=f"single_view/{self.view.edge_type}",
-                )
+                yield from self._parallel_blocks(seed_seq, self.walk_scale)
             return
         if recording["mode"] == "parallel":
-            yield from self.parallel.stream_corpus(
-                self.view,
-                self.policy,
-                length=self.walk_length,
-                block_walks=self._block_walks,
-                floor=self.walk_floor,
-                cap=self.walk_cap,
-                count_scale=recording["count_scale"],
-                seed_seq=recording["seed_seq"],
-                index_dtype=self._index_dtype,
-                label=f"single_view/{self.view.edge_type}",
+            yield from self._parallel_blocks(
+                recording["seed_seq"], recording["count_scale"]
             )
             return
         bitgen = type(self.rng.bit_generator)()
         bitgen.state = copy.deepcopy(recording["state"])
         regen_rng = np.random.Generator(bitgen)
         walker = LockstepWalker(self.view, self.policy, rng=regen_rng)
-        yield from stream_walk_corpus(
-            self.view,
-            walker,
-            length=self.walk_length,
-            floor=self.walk_floor,
-            cap=self.walk_cap,
-            rng=regen_rng,
-            count_scale=recording["count_scale"],
-            block_walks=self._block_walks,
-            index_dtype=self._index_dtype,
+        yield from self._serial_blocks(
+            walker, regen_rng, recording["count_scale"]
         )
 
     def _track_last(self, blocks) -> Iterator[WalkCorpus]:
@@ -519,8 +408,8 @@ class SingleViewTrainer:
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
         """Everything this trainer mutates during training: the SGNS
-        context matrix + optimizer moments, and the pipeline's cached
-        noise table.  The view-specific embedding matrix is excluded —
+        context matrix + optimizer moments, and the pipeline's noise
+        counts.  The view-specific embedding matrix is excluded —
         the model owns it (it is shared with the cross-view trainer) and
         snapshots it once.  The cached monitoring corpus is transient and
         deliberately not saved."""
@@ -539,8 +428,6 @@ class SingleViewTrainer:
         # pre-parallel checkpoints lack the draw clock; 0 matches their
         # serial path, which never reads it
         self._draws = int(state.get("corpus_draws", 0))
-        if self._prefetcher is not None:
-            self._prefetcher.reset()  # any in-flight draw is now stale
         self._last_corpus = None
 
     def _monitoring_corpus(self, num_pairs: int) -> WalkCorpus:

@@ -4,8 +4,8 @@ Every trainer in this repository — TransN's Algorithm 1 and all
 skip-gram-with-negative-sampling baselines — builds its training loop from
 the same three pieces:
 
-- a batch **pipeline** (:class:`CorpusPipeline` for walk corpora,
-  :class:`EdgeSamplingPipeline` for LINE-style edge draws) streaming
+- a batch **pipeline** (:class:`StreamingCorpusPipeline` for walk
+  corpora, :class:`EdgeSamplingPipeline` for LINE-style edge draws) streaming
   (center, context, negatives) minibatches with a reusable noise table;
 - **phases** (:class:`SkipGramPhase`, :class:`CallablePhase`) — named
   per-epoch units of work;
@@ -35,11 +35,9 @@ the same three pieces:
 - a **parallel layer** (see ``docs/parallelism.md``): the
   :class:`ParallelRuntime` fans corpus generation across a process pool
   over shared-memory CSR arrays (:class:`SharedCSR`), trains
-  view-disjoint cross-view pairs concurrently (:func:`conflict_waves`),
-  and overlaps next-epoch sampling with training
-  (:class:`PrefetchingSampler`) — all behind the same
-  :class:`BatchSource` protocol, with ``workers=0`` bit-identical to
-  the serial path.
+  and trains view-disjoint cross-view pairs concurrently
+  (:func:`conflict_waves`) — all behind the same :class:`BatchSource`
+  protocol, with ``workers=0`` never constructing a runtime.
 
 This is the seam where instrumentation, scheduling, and parallelism
 plug in once and apply to every method.
@@ -96,7 +94,6 @@ from repro.engine.parallel import (
     CROSS_VIEW_TAG,
     SINGLE_VIEW_TAG,
     ParallelRuntime,
-    PrefetchingSampler,
     SharedCSR,
     SharedCSRSpec,
     attach_shared_csr,
@@ -106,7 +103,6 @@ from repro.engine.parallel import (
 )
 from repro.engine.pipeline import (
     BatchSource,
-    CorpusPipeline,
     EdgeSamplingPipeline,
     SkipGramBatch,
     StreamingCorpusPipeline,
@@ -122,7 +118,6 @@ __all__ = [
     "CheckpointError",
     "CheckpointManager",
     "Checkpointer",
-    "CorpusPipeline",
     "EarlyStopping",
     "EdgeSamplingPipeline",
     "FAULT_POINTS",
@@ -141,7 +136,6 @@ __all__ = [
     "ParallelRuntime",
     "Phase",
     "PhaseTimer",
-    "PrefetchingSampler",
     "ProgressReporter",
     "RelationBalancer",
     "RunReport",

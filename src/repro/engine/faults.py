@@ -117,7 +117,7 @@ class FaultInjector:
             trip; the default is far past any sane deadline.
 
     Thread safety: :meth:`should_fire` mutates counters under a lock —
-    prefetch threads and the training thread may probe points
+    cross-view wave threads and the training thread may probe points
     concurrently.
     """
 

@@ -127,7 +127,7 @@ class MetricsRegistry:
 
     All record operations are thread-safe (one registry lock around each
     dict mutation): the parallel execution layer reports per-worker
-    timers, prefetch gauges, and per-pair cross-view metrics from
+    timers and per-pair cross-view metrics from
     concurrent threads into one registry.
     """
 

@@ -1,5 +1,5 @@
-"""Parallel training runtime: shared-memory corpus workers, concurrent
-cross-view waves, and an async prefetch pipeline.
+"""Parallel training runtime: shared-memory corpus workers and concurrent
+cross-view waves.
 
 Algorithm 1's two phases are embarrassingly parallel along different
 axes, and this module exploits both without touching the training math:
@@ -21,22 +21,16 @@ axes, and this module exploits both without touching the training math:
    disjoint translators, embeddings and optimizer rows, and NumPy
    releases the GIL on the heavy ops.
 
-3. **Prefetch** (:class:`PrefetchingSampler`) double-buffers corpora:
-   while epoch ``t`` trains, epoch ``t+1``'s corpus builds in a
-   background thread that feeds the same process pool.
-
 Determinism contract
 --------------------
 ``workers=0`` never constructs a runtime — the serial path is untouched
 and stays bit-identical to the determinism goldens.  For ``workers=N``
 every random draw derives from a :class:`numpy.random.SeedSequence`
 keyed on ``(seed, phase tag, view/pair id, draw index)`` — never on
-worker identity, thread schedule, or wall clock — so a fixed ``N``
-reproduces exactly across runs, machines, and pool-vs-fallback
-execution.  Prefetch changes *when* a corpus is built, not its seeds,
-so it does not change results (the one documented exception: relation
-balancing scales are captured at schedule time, one epoch early — see
-``docs/parallelism.md``).
+worker identity, thread schedule, or wall clock — and each corpus block
+``b`` splits into ``N`` shards seeded by ``spawn_key + (b, k)``, so a
+fixed ``N`` (and block size) reproduces exactly across runs, machines,
+and pool-vs-fallback execution (``docs/parallelism.md``).
 
 Fault tolerance
 ---------------
@@ -71,7 +65,7 @@ from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
-from typing import Any, Callable, Sequence
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
@@ -353,14 +347,14 @@ class ParallelRuntime:
 
     One runtime serves a whole model fit.  The process pool is launched
     *eagerly* in ``__init__`` — on fork platforms the workers must be
-    forked from the main thread before any prefetch/wave threads exist
+    forked from the main thread before any wave threads exist
     (forking a multithreaded process can inherit held locks).  A pool
     *relaunch* after a mid-run loss (:meth:`_pool_ready`) cannot honor
     that guarantee; workers only run NumPy walk kernels, which keeps the
     inherited-lock risk confined to code that never takes locks.
 
     Args:
-        workers: pool width; also sizes the wave/prefetch thread pools.
+        workers: pool width; also sizes the wave thread pool.
         shard_timeout: per-shard watchdog deadline in seconds for
             :meth:`_walk_sharded` (``None`` disables — a hung worker
             then hangs the build, the pre-hardening behavior).
@@ -422,7 +416,6 @@ class ParallelRuntime:
         )
         self._pool.submit(_ping).result()  # fork/spawn workers now
         self._wave_pool: ThreadPoolExecutor | None = None
-        self._prefetch_pool: ThreadPoolExecutor | None = None
         #: id(csr) -> (csr, SharedCSR); the csr reference keeps the id valid
         self._shared: dict[int, tuple[CSRAdjacency, SharedCSR]] = {}
         self._pool_broken = False
@@ -544,13 +537,6 @@ class ParallelRuntime:
                 max_workers=self.workers, thread_name_prefix="transn-wave"
             )
         return self._wave_pool
-
-    def _prefetch_executor(self) -> ThreadPoolExecutor:
-        if self._prefetch_pool is None:
-            self._prefetch_pool = ThreadPoolExecutor(
-                max_workers=self.workers, thread_name_prefix="transn-prefetch"
-            )
-        return self._prefetch_pool
 
     # -- corpus generation ---------------------------------------------
     def _walk_sharded(
@@ -685,57 +671,28 @@ class ParallelRuntime:
         seed_seq: np.random.SeedSequence,
         label: str = "corpus",
     ) -> WalkCorpus:
-        """Sample one corpus with the start law of ``walks.build_corpus``.
-
-        Starts are computed once in the parent (identical to the serial
-        law), split into ``workers`` contiguous shards, and walked
-        concurrently.  ``seed_seq`` spawns ``workers + 1`` children —
-        shard ``k`` always consumes child ``k`` (even when its shard is
-        empty and never submitted) and the final child shuffles the
-        assembled corpus, so the result depends only on ``seed_seq`` and
-        the worker count, not on scheduling.
-        """
-        if length < 2:
-            raise ValueError(f"walk length must be >= 2, got {length}")
-        graph, is_heter = _resolve_graph(view_or_graph)
-        csr = csr_adjacency(graph)
-        policy = policy.bind(view_or_graph)
-        starts = walk_start_nodes(
-            csr.degrees,
-            policy=policy,
+        """The one-block case of :meth:`stream_corpus`: the whole corpus,
+        sharded across the workers and shuffled once."""
+        blocks = self.stream_corpus(
+            view_or_graph,
+            policy,
+            length=length,
             floor=floor,
             cap=cap,
             walks_per_node_override=walks_per_node_override,
             count_scale=count_scale,
+            seed_seq=seed_seq,
+            label=label,
         )
-        # stateless spawn: SeedSequence.spawn() advances an internal
-        # child counter, so reusing a seed_seq would silently change the
-        # draw — derive children by spawn_key instead (bit-identical to
-        # .spawn() on a fresh sequence)
-        children = [
-            np.random.SeedSequence(
-                entropy=seed_seq.entropy,
-                spawn_key=seed_seq.spawn_key + (k,),
-            )
-            for k in range(self.workers + 1)
-        ]
-        shards = np.array_split(starts, self.workers)
-        results = self._walk_sharded(
-            csr, policy, shards, length, children, is_heter, label
+        corpus = next(blocks, None)
+        if corpus is not None:
+            return corpus
+        return WalkCorpus(
+            np.empty((0, length), dtype=np.int64),
+            np.empty(0, dtype=np.int64),
+            length,
+            _resolve_graph(view_or_graph)[0],
         )
-        parts = [part for part in results if part is not None]
-        if parts:
-            matrix = np.concatenate([m for m, _ in parts])
-            lengths = np.concatenate([ln for _, ln in parts])
-        else:
-            matrix = np.empty((0, length), dtype=np.int64)
-            lengths = np.empty(0, dtype=np.int64)
-        order = np.random.default_rng(children[-1]).permutation(
-            matrix.shape[0]
-        )
-        self._metrics.counter("parallel/corpus_builds")
-        self._metrics.observe(f"parallel/{label}/walks", matrix.shape[0])
-        return WalkCorpus(matrix[order], lengths[order], length, graph)
 
     def stream_corpus(
         self,
@@ -743,7 +700,7 @@ class ParallelRuntime:
         policy: WalkPolicy,
         *,
         length: int,
-        block_walks: int,
+        block_walks: int | None = None,
         floor: int = 10,
         cap: int = 32,
         walks_per_node_override: int | None = None,
@@ -751,26 +708,25 @@ class ParallelRuntime:
         seed_seq: np.random.SeedSequence,
         index_dtype: np.dtype | None = None,
         label: str = "corpus",
-    ):
+    ) -> Iterator[WalkCorpus]:
         """Lazily yield the corpus as blocks of at most ``block_walks``.
 
-        Same start law as :meth:`build_corpus`, but starts are cut into
-        consecutive blocks and each block is sharded across the workers
-        and shuffled independently, so only one block's walks are ever
-        resident.  Block ``b`` derives its seeds from
-        ``spawn_key + (b, k)`` — disjoint from :meth:`build_corpus`'s
-        ``spawn_key + (k,)`` children and independent of every other
-        block — so the stream is deterministic for a fixed
-        ``(seed_seq, block_walks, workers)`` but is *not* the dense
-        build's permutation (same walks, different interleave; the
-        trainer documents this as the parallel-streaming stream).
+        Starts follow the serial law (:func:`walk_start_nodes`), computed
+        once in the parent and cut into consecutive blocks (``None``: one
+        block).  Each block is split into ``workers`` contiguous shards,
+        walked concurrently, and shuffled, so only one block's walks are
+        ever resident.  Block ``b`` spawns ``workers + 1`` children with
+        ``spawn_key + (b, k)``: shard ``k`` always consumes child ``k``
+        (even when its shard is empty and never submitted) and the last
+        child shuffles the block.  The stream therefore depends only on
+        ``(seed_seq, block_walks, workers)``, not on scheduling.
 
         ``index_dtype`` casts each block's matrix (int32 compact mode)
         before it is yielded.
         """
         if length < 2:
             raise ValueError(f"walk length must be >= 2, got {length}")
-        if block_walks < 1:
+        if block_walks is not None and block_walks < 1:
             raise ValueError(
                 f"block_walks must be >= 1, got {block_walks}"
             )
@@ -787,8 +743,12 @@ class ParallelRuntime:
         )
         self._metrics.counter("parallel/corpus_builds")
         self._metrics.observe(f"parallel/{label}/walks", starts.size)
-        for b, begin in enumerate(range(0, starts.size, block_walks)):
-            block_starts = starts[begin : begin + block_walks]
+        step = starts.size if block_walks is None else block_walks
+        for b, begin in enumerate(range(0, starts.size, max(step, 1))):
+            block_starts = starts[begin : begin + step]
+            # stateless spawn: SeedSequence.spawn() advances an internal
+            # child counter, so reusing a seed_seq would silently change
+            # the draw — derive children by spawn_key instead
             children = [
                 np.random.SeedSequence(
                     entropy=seed_seq.entropy,
@@ -801,12 +761,8 @@ class ParallelRuntime:
                 csr, policy, shards, length, children, is_heter, label
             )
             parts = [part for part in results if part is not None]
-            if parts:
-                matrix = np.concatenate([m for m, _ in parts])
-                lengths = np.concatenate([ln for _, ln in parts])
-            else:  # pragma: no cover - only via empty start law
-                matrix = np.empty((0, length), dtype=np.int64)
-                lengths = np.empty(0, dtype=np.int64)
+            matrix = np.concatenate([m for m, _ in parts])
+            lengths = np.concatenate([ln for _, ln in parts])
             order = np.random.default_rng(children[-1]).permutation(
                 matrix.shape[0]
             )
@@ -857,8 +813,7 @@ class ParallelRuntime:
     def shutdown(self) -> None:
         """Stop the pools and unlink every shared segment (idempotent).
 
-        Order matters: prefetch threads feed the process pool, so they
-        drain first; segments unlink last, once nothing can attach.
+        Segments unlink last, once nothing can attach.
         Each resource is released independently — a pool that broke or
         hung mid-epoch must not leak the thread pools or the shared
         segments, so no step's failure skips the rest.
@@ -866,15 +821,9 @@ class ParallelRuntime:
         if self._closed:
             return
         self._closed = True
-        prefetch, self._prefetch_pool = self._prefetch_pool, None
         wave, self._wave_pool = self._wave_pool, None
         pool, self._pool = self._pool, None
         shared, self._shared = list(self._shared.values()), {}
-        try:
-            if prefetch is not None:
-                prefetch.shutdown(wait=True, cancel_futures=True)
-        except Exception:  # pragma: no cover - defensive
-            pass
         try:
             if wave is not None:
                 wave.shutdown(wait=True)
@@ -905,70 +854,3 @@ class ParallelRuntime:
 
     def __exit__(self, *exc_info: object) -> None:
         self.shutdown()
-
-
-# ----------------------------------------------------------------------
-# async prefetch
-# ----------------------------------------------------------------------
-class PrefetchingSampler:
-    """Double-buffers corpus builds behind the training loop.
-
-    ``make_task(t)`` is called on the *consumer's* thread at schedule
-    time and must return a zero-argument closure producing draw ``t``'s
-    corpus — anything epoch-dependent (e.g. the relation balancer's
-    ``count_scale``) is captured then, so the background build reads no
-    trainer state.  Because every build is seeded by its draw index, a
-    prefetched corpus is identical to one built on demand; prefetching
-    changes wall-clock overlap, never results.
-    """
-
-    def __init__(
-        self,
-        runtime: ParallelRuntime,
-        make_task: Callable[[int], Callable[[], WalkCorpus]],
-    ) -> None:
-        self._runtime = runtime
-        self._make_task = make_task
-        self._pending: tuple[int, Any] | None = None
-
-    @property
-    def next_index(self) -> int | None:
-        """The draw index currently building in the background, if any."""
-        return None if self._pending is None else self._pending[0]
-
-    def corpus(self, index: int) -> WalkCorpus:
-        """Corpus for draw ``index``; schedules draw ``index + 1``.
-
-        A pending build for ``index`` is consumed (hit); a pending build
-        for any other draw — after a checkpoint restore rewound the
-        clock, say — is discarded and the corpus is built synchronously
-        (miss).
-        """
-        pending, self._pending = self._pending, None
-        metrics = self._runtime._metrics
-        if pending is not None and pending[0] == index:
-            corpus = pending[1].result()
-            metrics.counter("parallel/prefetch/hits")
-        else:
-            if pending is not None:
-                pending[1].cancel()
-                metrics.counter("parallel/prefetch/misses")
-            corpus = self._make_task(index)()
-        metrics.gauge("parallel/prefetch/depth", 0)
-        self._schedule(index + 1)
-        return corpus
-
-    def _schedule(self, index: int) -> None:
-        task = self._make_task(index)  # capture epoch state on this thread
-        self._pending = (
-            index,
-            self._runtime._prefetch_executor().submit(task),
-        )
-        self._runtime._metrics.gauge("parallel/prefetch/depth", 1)
-
-    def reset(self) -> None:
-        """Discard any in-flight build (e.g. after loading a checkpoint)."""
-        pending, self._pending = self._pending, None
-        if pending is not None:
-            pending[1].cancel()
-        self._runtime._metrics.gauge("parallel/prefetch/depth", 0)

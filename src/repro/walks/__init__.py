@@ -21,17 +21,10 @@ any of them (see ``docs/walk_policies.md``):
 
 Scalar execution (:class:`~repro.walks.walker.ReferenceWalker`) samples
 the same policies one walk at a time from their exact probabilities — the
-distributional reference for tests.  The pre-refactor walker classes
-(``BatchedUniformWalker``, ``BatchedBiasedCorrelatedWalker``,
-``Node2VecWalker``, ``MetapathWalker``) remain importable but are
-deprecated shims over the policy layer.
+distributional reference for tests.
 """
 
-from repro.walks.batched import (
-    BatchedBiasedCorrelatedWalker,
-    BatchedUniformWalker,
-    LockstepWalker,
-)
+from repro.walks.batched import LockstepWalker
 from repro.walks.corpus import (
     WalkCorpus,
     build_corpus,
@@ -45,8 +38,6 @@ from repro.walks.spill import (
     SpillReader,
     SpillWriter,
 )
-from repro.walks.metapath import MetapathWalker
-from repro.walks.node2vec import Node2VecWalker
 from repro.walks.policies import (
     POLICY_NAMES,
     BiasedCorrelatedPolicy,
@@ -82,11 +73,6 @@ __all__ = [
     # scalar references
     "BiasedCorrelatedWalker",
     "UniformWalker",
-    # deprecated walker classes (shims over the policy layer)
-    "BatchedBiasedCorrelatedWalker",
-    "BatchedUniformWalker",
-    "Node2VecWalker",
-    "MetapathWalker",
     # corpus construction
     "WalkCorpus",
     "build_corpus",

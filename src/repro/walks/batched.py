@@ -19,28 +19,15 @@ int64 matrix plus a per-walk length array; slots past a walk's length are
 ``-1``.  That is precisely the representation
 :class:`repro.walks.corpus.WalkCorpus` stores, so corpus construction
 never materializes per-walk Python lists.
-
-The pre-refactor engines survive as deprecated aliases:
-``BatchedUniformWalker`` == engine + :class:`UniformPolicy`,
-``BatchedBiasedCorrelatedWalker`` == engine +
-:class:`BiasedCorrelatedPolicy` — bit-for-bit, including RNG consumption
-order (the determinism goldens pin this).
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 
 from repro.graph.heterograph import HeteroGraph
 from repro.graph.views import View
-from repro.walks.policies import (
-    BiasedCorrelatedPolicy,
-    UniformPolicy,
-    WalkPolicy,
-    _resolve_graph,
-)
+from repro.walks.policies import WalkPolicy, _resolve_graph
 
 from repro.graph.csr import CSRAdjacency, csr_adjacency
 
@@ -139,50 +126,3 @@ class LockstepWalker:
             policy.update_state(state, live, here, slots)
             active[live] = csr.degrees[nxt] > 0
         return matrix, lengths
-
-
-def _deprecated(old: str, replacement: str) -> None:
-    warnings.warn(
-        f"{old} is deprecated; use {replacement} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-class BatchedUniformWalker(LockstepWalker):
-    """Deprecated alias: engine + :class:`UniformPolicy`."""
-
-    def __init__(
-        self,
-        view_or_graph: View | HeteroGraph,
-        rng: np.random.Generator | None = None,
-    ) -> None:
-        _deprecated(
-            "BatchedUniformWalker",
-            "LockstepWalker(view_or_graph, UniformPolicy())",
-        )
-        super().__init__(view_or_graph, UniformPolicy(), rng=rng)
-
-
-class BatchedBiasedCorrelatedWalker(LockstepWalker):
-    """Deprecated alias: engine + :class:`BiasedCorrelatedPolicy`."""
-
-    def __init__(
-        self,
-        view_or_graph: View | HeteroGraph,
-        rng: np.random.Generator | None = None,
-        correlated: bool | None = None,
-    ) -> None:
-        _deprecated(
-            "BatchedBiasedCorrelatedWalker",
-            "LockstepWalker(view_or_graph, BiasedCorrelatedPolicy())",
-        )
-        super().__init__(
-            view_or_graph,
-            BiasedCorrelatedPolicy(correlated=correlated),
-            rng=rng,
-        )
-
-    @property
-    def correlated(self) -> bool:
-        return self.policy.correlated

@@ -9,7 +9,7 @@ matrix, so the walk → skip-gram-batch pipeline never leaves NumPy.
 
 Slots past a walk's end hold :data:`~repro.walks.batched.PAD` (``-1``);
 ``lengths[i]`` is the number of real nodes of walk ``i``.  Scalar walkers
-(node2vec, metapath, the reference walkers) still produce node-ID lists;
+(:class:`~repro.walks.walker.ReferenceWalker`) produce node-ID lists;
 :meth:`WalkCorpus.from_paths` packs those into the same matrix form.
 """
 
@@ -202,7 +202,7 @@ def walk_start_nodes(
     walks_per_node_override: int | None = None,
     count_scale: float = 1.0,
 ) -> np.ndarray:
-    """The exact start-index law of :func:`build_corpus`, standalone.
+    """The start-index law of every corpus draw, standalone.
 
     Given a view's per-node degree array this applies, in order: the
     degree-based count policy (or a fixed override), isolated-node
@@ -248,51 +248,29 @@ def build_corpus(
 ) -> WalkCorpus:
     """Sample walks from every node under the degree-based count policy.
 
-    With a lockstep walker (anything exposing ``walk_batch``) the whole
-    corpus is one batched call: start indices are ``np.repeat`` of the
-    per-node counts and the walker advances every walk simultaneously.
-    A bare :class:`WalkPolicy` is wrapped in a fresh
-    :class:`~repro.walks.batched.LockstepWalker` drawing from ``rng``.
-    Scalar walkers fall back to one ``walk()`` call per start.
-
-    Args:
-        view_or_graph: where to walk.
-        walker: a walker already bound to the same view/graph, or a
-            :class:`WalkPolicy` to execute on the lockstep engine.
-        length: nodes per walk.
-        floor, cap: the walk-count policy bounds (paper: 10 and 32).
-        walks_per_node_override: fixed count per node; used by baselines
-            such as DeepWalk that ignore degree.
-        rng: shuffles the corpus so SGD sees mixed nodes; also drives the
-            walks themselves when ``walker`` is a bare policy.
-        count_scale: multiplier on every node's walk count (>= 1 walk is
-            kept where any was due) — the :class:`RelationBalancer`'s
-            knob for growing or shrinking one view's training share.
+    The one-block case of :func:`stream_corpus`: the whole corpus is one
+    walker call over every start, then one shuffle.  Arguments are those
+    of :func:`stream_corpus`; an empty start law gives an empty corpus.
     """
-    if length < 2:
-        raise ValueError(f"walk length must be >= 2, got {length}")
-    graph = view_or_graph.graph if isinstance(view_or_graph, View) else view_or_graph
-    rng = rng or np.random.default_rng()
-    if isinstance(walker, WalkPolicy):
-        walker = LockstepWalker(view_or_graph, walker, rng=rng)
-    starts = walk_start_nodes(
-        csr_adjacency(graph).degrees,
-        policy=getattr(walker, "policy", None),
+    blocks = stream_corpus(
+        view_or_graph,
+        walker,
+        length,
         floor=floor,
         cap=cap,
         walks_per_node_override=walks_per_node_override,
+        rng=rng,
         count_scale=count_scale,
     )
-    if hasattr(walker, "walk_batch"):
-        matrix, lengths = walker.walk_batch(starts, length)
-        corpus = WalkCorpus(matrix, lengths, length, graph)
-    else:
-        node_at = graph.node_at
-        paths = [walker.walk(node_at(int(i)), length) for i in starts]
-        corpus = WalkCorpus.from_paths(paths, length, graph)
-    order = rng.permutation(len(corpus))
+    corpus = next(blocks, None)
+    if corpus is not None:
+        return corpus
+    graph = view_or_graph.graph if isinstance(view_or_graph, View) else view_or_graph
     return WalkCorpus(
-        corpus.matrix[order], corpus.lengths[order], length, graph
+        np.empty((0, length), dtype=np.int64),
+        np.empty(0, dtype=np.int64),
+        length,
+        graph,
     )
 
 
@@ -318,35 +296,45 @@ def stream_corpus(
     block_walks: int | None = None,
     index_dtype: np.dtype | None = None,
 ) -> Iterator[WalkCorpus]:
-    """The streaming variant of :func:`build_corpus`: fixed-size blocks.
+    """Sample the corpus as a lazy stream of walk blocks.
 
-    Start indices follow the exact law of :func:`build_corpus`
-    (:func:`walk_start_nodes`), computed once up front; the walks are
-    then sampled in blocks of at most ``block_walks`` starts, each block
-    shuffled independently and yielded as its own :class:`WalkCorpus`.
-    Peak memory is proportional to the block, not the corpus.
+    Start indices follow :func:`walk_start_nodes`, computed once up
+    front; the walks are then sampled in blocks of at most
+    ``block_walks`` starts, each block shuffled independently and
+    yielded as its own :class:`WalkCorpus`.  Peak memory is proportional
+    to the block, not the corpus.  With a lockstep walker (anything
+    exposing ``walk_batch``) a block is one batched call; a bare
+    :class:`WalkPolicy` is wrapped in a fresh
+    :class:`~repro.walks.batched.LockstepWalker` drawing from ``rng``;
+    scalar walkers fall back to one ``walk()`` call per start.
 
     RNG contract: each block consumes the walker's draws and then one
-    ``rng.permutation(block size)``, in block order.  When the whole
-    corpus fits in one block (``block_walks`` is ``None`` or at least
-    the total walk count) this is *exactly* the draw sequence of
-    :func:`build_corpus`, so the single-block stream is bit-identical
-    to the dense corpus.  Multi-block streams are deterministic for a
-    fixed ``(rng state, block_walks)`` but interleave walker draws
-    differently, so they are a different — equally valid — sample of
-    the same Eq. 6-7 walk law (exactly as ``workers=N`` is).
+    ``rng.permutation(block size)``, in block order.  A stream is
+    deterministic for a fixed ``(rng state, block_walks)``; different
+    block sizes interleave walker draws differently, so they are
+    different — equally valid — samples of the same Eq. 6-7 walk law.
 
     Blocks are consumed lazily: pull them in order, and do not interleave
     other draws from ``rng`` mid-stream.
 
     Args:
-        block_walks: maximum walks per yielded block (``None``: one
-            block — the dense corpus, streamed).
+        view_or_graph: where to walk.
+        walker: a walker already bound to the same view/graph, or a
+            :class:`WalkPolicy` to execute on the lockstep engine.
+        length: nodes per walk.
+        floor, cap: the walk-count policy bounds (paper: 10 and 32).
+        walks_per_node_override: fixed count per node; used by baselines
+            such as DeepWalk that ignore degree.
+        rng: shuffles each block so SGD sees mixed nodes; also drives the
+            walks themselves when ``walker`` is a bare policy.
+        count_scale: multiplier on every node's walk count (>= 1 walk is
+            kept where any was due) — the :class:`RelationBalancer`'s
+            knob for growing or shrinking one view's training share.
+        block_walks: maximum walks per yielded block (``None``: the whole
+            corpus is one block; :func:`build_corpus` is that case).
         index_dtype: cast block matrices to this dtype
             (:func:`corpus_index_dtype` gives the compact choice); the
             cast changes bytes, never index values.
-
-    Everything else matches :func:`build_corpus`.
     """
     if length < 2:
         raise ValueError(f"walk length must be >= 2, got {length}")

@@ -46,7 +46,7 @@ class TestAblationPresets:
         assert not cfg.use_cross_view
 
     def test_with_simple_walk(self):
-        assert TransNConfig().with_simple_walk().simple_walk
+        assert TransNConfig().with_simple_walk().walk_policy == "uniform"
 
     def test_with_simple_translator(self):
         assert TransNConfig().with_simple_translator().simple_translator
@@ -64,7 +64,7 @@ class TestAblationPresets:
     def test_presets_do_not_mutate_base(self):
         base = TransNConfig()
         base.with_simple_walk()
-        assert not base.simple_walk
+        assert base.walk_policy == "biased"
 
     def test_paper_scale(self):
         cfg = TransNConfig.paper_scale()
@@ -118,7 +118,6 @@ class TestWalkPolicyKnobs:
     def test_default_is_papers_walk(self):
         config = TransNConfig()
         assert config.walk_policy == "biased"
-        assert config.resolved_walk_policy == "biased"
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError, match="walk_policy"):
@@ -128,20 +127,22 @@ class TestWalkPolicyKnobs:
         from repro.walks import POLICY_NAMES
 
         for name in POLICY_NAMES:
-            if name == "uniform":
-                continue  # exercised via simple_walk below
             assert TransNConfig(walk_policy=name).walk_policy == name
 
     def test_simple_walk_resolves_to_uniform(self):
-        assert TransNConfig(simple_walk=True).resolved_walk_policy == "uniform"
+        """The Table V simple-walk preset walks every view and subview
+        with the uniform policy."""
+        from repro.core import TransN
+        from repro.datasets import two_view_toy
+        from repro.walks import UniformPolicy
 
-    def test_simple_walk_conflict_rejected(self):
-        with pytest.raises(ValueError, match="simple_walk"):
-            TransNConfig(simple_walk=True, walk_policy="node2vec")
-
-    def test_simple_walk_uniform_compatible(self):
-        config = TransNConfig(simple_walk=True, walk_policy="uniform")
-        assert config.resolved_walk_policy == "uniform"
+        graph, _ = two_view_toy()
+        model = TransN(graph, TransNConfig(dim=8).with_simple_walk())
+        walkers = [t.walker for t in model.single_trainers]
+        for trainer in model.cross_trainers:
+            walkers += [trainer._walker_i, trainer._walker_j]
+        assert model.cross_trainers
+        assert all(isinstance(w.policy, UniformPolicy) for w in walkers)
 
     @pytest.mark.parametrize(
         ("field_name", "value"),
@@ -161,18 +162,16 @@ class TestParallelKnobs:
     def test_defaults_are_serial(self):
         config = TransNConfig()
         assert config.workers == 0
-        assert config.prefetch is None
 
     def test_negative_workers_rejected(self):
         with pytest.raises(ValueError, match="workers"):
             TransNConfig(workers=-1)
 
-    def test_prefetch_needs_workers(self):
-        with pytest.raises(ValueError, match="prefetch"):
-            TransNConfig(prefetch=True, workers=0)
 
-    def test_prefetch_with_workers_ok(self):
-        assert TransNConfig(prefetch=True, workers=1).prefetch is True
-
-    def test_prefetch_off_is_always_valid(self):
-        assert TransNConfig(prefetch=False, workers=0).prefetch is False
+class TestRemovedFields:
+    @pytest.mark.parametrize(
+        "field_name", ["prefetch", "simple_walk", "batched_cross_view"]
+    )
+    def test_rejected_as_unknown(self, field_name):
+        with pytest.raises(TypeError, match=field_name):
+            TransNConfig(**{field_name: True})

@@ -8,6 +8,8 @@ from repro.core import RowAdam, similarity_loss
 from repro.core.cross_view import CrossViewTrainer
 from repro.graph import build_view_pairs, separate_views
 
+from tests.core.per_chunk_oracle import use_per_chunk
+
 
 class TestSimilarityLoss:
     def test_identical_normalized_is_zero(self, rng):
@@ -172,12 +174,24 @@ class TestCrossViewTrainer:
         assert losses.reconstruction == 0.0
         assert losses.translation != 0.0
 
-    def test_batched_is_default(self, toy_cross_trainer):
+    def test_batched_is_default(self, toy_cross_trainer, monkeypatch):
+        """A direction takes one optimizer step over all of its chunks."""
         trainer, _, _ = toy_cross_trainer
-        assert trainer.batched is True
+        step_sizes = []
+        train_step = CrossViewTrainer._train_step
 
-    def test_scalar_reference_mode_trains(self, toy_pair, rng):
-        """batched=False keeps the per-chunk Algorithm 1 reading alive."""
+        def counted(self, chunks, *step_args):
+            step_sizes.append(chunks.shape[0])
+            return train_step(self, chunks, *step_args)
+
+        monkeypatch.setattr(CrossViewTrainer, "_train_step", counted)
+        losses = trainer.train_epoch()
+        assert 1 <= len(step_sizes) <= 2
+        assert sum(step_sizes) == losses.num_paths > len(step_sizes)
+
+    def test_scalar_reference_mode_trains(self, toy_pair, rng, monkeypatch):
+        """The per-chunk Algorithm 1 reading trains through the same step."""
+        use_per_chunk(monkeypatch)
         graph, _ = toy_pair
         views = separate_views(graph)
         pair = build_view_pairs(views)[0]
@@ -193,7 +207,6 @@ class TestCrossViewTrainer:
             num_encoders=1,
             walk_length=10,
             paths_per_epoch=10,
-            batched=False,
         )
         before_i = emb_i.copy()
         losses = trainer.train_epoch()
@@ -201,7 +214,10 @@ class TestCrossViewTrainer:
         assert np.isfinite(losses.total)
         assert not np.allclose(emb_i, before_i)
 
-    def test_scalar_mode_touches_only_common_rows(self, toy_pair, rng):
+    def test_scalar_mode_touches_only_common_rows(
+        self, toy_pair, rng, monkeypatch
+    ):
+        use_per_chunk(monkeypatch)
         graph, _ = toy_pair
         views = separate_views(graph)
         pair = build_view_pairs(views)[0]
@@ -209,7 +225,7 @@ class TestCrossViewTrainer:
         emb_j = rng.normal(0, 0.1, size=(pair.view_j.num_nodes, 8))
         trainer = CrossViewTrainer(
             pair, emb_i, emb_j, rng=rng, dim=8, cross_path_len=3,
-            paths_per_epoch=8, batched=False,
+            paths_per_epoch=8,
         )
         before_i = emb_i.copy()
         trainer.train_epoch()

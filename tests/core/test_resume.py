@@ -16,6 +16,7 @@ from repro.core.cross_view import CrossViewLosses
 from repro.datasets import two_view_toy
 from repro.engine import Callback, NumericalHealthError
 
+from tests.core.per_chunk_oracle import use_per_chunk
 from tests.core.test_determinism import _CONFIG, _GOLDEN
 
 
@@ -107,6 +108,35 @@ class TestResumeEquivalence:
         )
         assert resumed.history.single_view == straight.history.single_view
 
+    def test_dense_path_checkpoint_resumes(self, graph, tmp_path):
+        """A checkpoint in the layout of the removed dense path — its
+        config fields, ``stream_corpus=False``, pipeline states without
+        a freeze flag — resumes to the straight run's bytes."""
+        from repro.engine import CheckpointManager
+
+        straight = TransN(graph, _config())
+        straight.fit(num_iterations=4)
+
+        TransN(graph, _config()).fit(num_iterations=2, checkpoint=tmp_path)
+        manager = CheckpointManager(tmp_path)
+        saved = manager.load_latest()
+        model_state = saved.state["model"]
+        model_state["config"].update(
+            stream_corpus=False,
+            prefetch=None,
+            simple_walk=False,
+            batched_cross_view=True,
+        )
+        for view_state in model_state["single_view"].values():
+            del view_state["pipeline"]["noise_frozen"]
+        manager.save(saved.state, saved.step)
+
+        resumed = TransN(graph, _config())
+        resumed.fit(num_iterations=4, checkpoint=tmp_path, resume=True)
+        assert np.array_equal(
+            straight.embedding_matrix(), resumed.embedding_matrix()
+        )
+
     def test_resume_with_empty_directory_starts_fresh(self, graph, tmp_path):
         fresh = TransN(graph, _config())
         fresh.fit(num_iterations=2)
@@ -181,11 +211,11 @@ class TestHealthPolicies:
 
     @pytest.mark.parametrize("batched", [True, False])
     def test_rollback_restores_and_halves_single_view_lr(
-        self, graph, batched, capsys
+        self, graph, batched, capsys, monkeypatch
     ):
-        config = _config(
-            health_policy="rollback", batched_cross_view=batched
-        )
+        if not batched:
+            use_per_chunk(monkeypatch)
+        config = _config(health_policy="rollback")
         model = TransN(graph, config)
         counter = _poison_single_view(model, bad_call=2)
         model.fit(num_iterations=3)

@@ -1,5 +1,7 @@
 """Tests for the single-view algorithm (Section III-A)."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from repro.walks import (
     LockstepWalker,
     Node2VecPolicy,
     UniformPolicy,
+    build_corpus,
 )
 
 
@@ -47,7 +50,9 @@ class TestConstruction:
 
     def test_walker_selection(self, heter_view, rng):
         default_trainer, _ = make_trainer(heter_view, rng)
-        simple_trainer, _ = make_trainer(heter_view, rng, simple_walk=True)
+        simple_trainer, _ = make_trainer(
+            heter_view, rng, policy=UniformPolicy()
+        )
         assert isinstance(default_trainer.walker, LockstepWalker)
         assert isinstance(default_trainer.policy, BiasedCorrelatedPolicy)
         assert isinstance(simple_trainer.policy, UniformPolicy)
@@ -63,7 +68,7 @@ class TestConstruction:
 class TestTraining:
     def test_corpus_respects_policy(self, heter_view, rng):
         trainer, _ = make_trainer(heter_view, rng)
-        corpus = trainer.sample_corpus()
+        (corpus,) = trainer.sample_blocks()
         n = heter_view.num_nodes
         assert 2 * n <= len(corpus) <= 4 * n
 
@@ -92,3 +97,39 @@ class TestTraining:
             trainer.train_epoch(lr=0.1)
         assert np.isfinite(emb).all()
         assert np.abs(emb).max() < 100
+
+
+class TestOneBlockDraw:
+    def test_unbudgeted_draw_is_one_block(self, heter_view):
+        """More than 8,192 walks, no budget: one block, byte-equal to
+        ``build_corpus`` from the same RNG state."""
+        rng = np.random.default_rng(5)
+        per_node = 8192 // heter_view.num_nodes + 1
+        trainer, _ = make_trainer(
+            heter_view, rng, walk_floor=per_node, walk_cap=per_node
+        )
+        state = copy.deepcopy(rng.bit_generator.state)
+        blocks = list(trainer.sample_blocks())
+        assert len(blocks) == 1
+        assert len(blocks[0]) > 8192
+
+        ref_rng = np.random.default_rng()
+        ref_rng.bit_generator.state = state
+        walker = LockstepWalker(
+            heter_view, BiasedCorrelatedPolicy(), rng=ref_rng
+        )
+        expected = build_corpus(
+            heter_view,
+            walker,
+            length=8,
+            floor=per_node,
+            cap=per_node,
+            rng=ref_rng,
+        )
+        dtype = blocks[0].matrix.dtype
+        assert (
+            blocks[0].matrix.tobytes()
+            == expected.matrix.astype(dtype).tobytes()
+        )
+        assert blocks[0].lengths.tobytes() == expected.lengths.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state

@@ -1,4 +1,4 @@
-"""Model-level streaming: dense equivalence, spill replay, float32 mode."""
+"""Model-level streaming: one-block equivalence, spill replay, float32 mode."""
 
 import tracemalloc
 
@@ -33,10 +33,11 @@ def _fit(**overrides):
 
 class TestStreamingEquivalence:
     def test_streaming_bit_identical_to_dense(self):
-        # toy corpora fit in one block, so the streamed RNG stream is the
-        # dense one and every embedding must match bit for bit
+        # an unbudgeted draw is one block (the whole corpus); a budget
+        # that holds the whole corpus cuts the same single block, so
+        # every embedding must match bit for bit
         dense = _fit()
-        streaming = _fit(stream_corpus=True)
+        streaming = _fit(corpus_budget_mb=512.0)
         for edge_type in dense.view_embeddings:
             np.testing.assert_array_equal(
                 dense.view_embeddings[edge_type],
@@ -44,8 +45,8 @@ class TestStreamingEquivalence:
             )
 
     def test_streaming_with_budget_is_deterministic(self):
-        first = _fit(stream_corpus=True, corpus_budget_mb=1.0)
-        second = _fit(stream_corpus=True, corpus_budget_mb=1.0)
+        first = _fit(corpus_budget_mb=1.0)
+        second = _fit(corpus_budget_mb=1.0)
         for edge_type in first.view_embeddings:
             np.testing.assert_array_equal(
                 first.view_embeddings[edge_type],
@@ -59,9 +60,9 @@ class TestSpill:
         # so a single-iteration spill run equals plain streaming bit for
         # bit (later iterations replay instead of regenerating, which
         # consumes no walk RNG and legitimately diverges)
-        plain = _fit(stream_corpus=True, num_iterations=1)
+        plain = _fit(num_iterations=1)
         spilled = _fit(
-            stream_corpus=True, num_iterations=1, spill_dir=str(tmp_path)
+            num_iterations=1, spill_dir=str(tmp_path)
         )
         for edge_type in plain.view_embeddings:
             np.testing.assert_array_equal(
@@ -74,12 +75,12 @@ class TestSpill:
         ]
 
     def test_replay_runs_are_deterministic(self, tmp_path):
-        _fit(stream_corpus=True, spill_dir=str(tmp_path))  # records
+        _fit(spill_dir=str(tmp_path))  # records
         spill_bytes = {
             p.name: p.read_bytes() for p in tmp_path.iterdir()
         }
-        first = _fit(stream_corpus=True, spill_dir=str(tmp_path))
-        second = _fit(stream_corpus=True, spill_dir=str(tmp_path))
+        first = _fit(spill_dir=str(tmp_path))
+        second = _fit(spill_dir=str(tmp_path))
         for edge_type in first.view_embeddings:
             np.testing.assert_array_equal(
                 first.view_embeddings[edge_type],
@@ -97,13 +98,13 @@ class TestSpill:
             path.write_bytes(bytes(data))
 
     def test_corrupt_spill_degrades_to_regeneration(self, tmp_path):
-        _fit(stream_corpus=True, spill_dir=str(tmp_path))  # records
+        _fit(spill_dir=str(tmp_path))  # records
         self._corrupt_all(tmp_path)
         # every view's replay is rejected by CRC before training sees a
         # walk, so the run falls back to drawing fresh corpora — which
         # consumes the same RNG stream as spill-less streaming
-        plain = _fit(stream_corpus=True)
-        degraded = _fit(stream_corpus=True, spill_dir=str(tmp_path))
+        plain = _fit()
+        degraded = _fit(spill_dir=str(tmp_path))
         for edge_type in plain.view_embeddings:
             np.testing.assert_array_equal(
                 plain.view_embeddings[edge_type],
@@ -113,12 +114,11 @@ class TestSpill:
     def test_corrupt_spill_raises_when_asked(self, tmp_path):
         from repro.walks import SpillCorruptionError
 
-        _fit(stream_corpus=True, spill_dir=str(tmp_path))
+        _fit(spill_dir=str(tmp_path))
         self._corrupt_all(tmp_path)
         with pytest.raises(SpillCorruptionError, match="CRC mismatch"):
             _fit(
-                stream_corpus=True,
-                spill_dir=str(tmp_path),
+                    spill_dir=str(tmp_path),
                 on_spill_error="raise",
             )
 
@@ -148,7 +148,6 @@ class TestFloat32:
                         **_CONFIG,
                         "num_iterations": 3,
                         "dtype": dtype,
-                        "stream_corpus": dtype == "float32",
                     }
                 ),
             )
@@ -162,30 +161,28 @@ class TestFloat32:
 
 
 class TestConfigValidation:
-    def test_budget_requires_streaming(self):
-        with pytest.raises(ValueError, match="stream_corpus"):
-            TransNConfig(**{**_CONFIG, "corpus_budget_mb": 64.0})
+    def test_stream_corpus_false_rejected(self):
+        with pytest.raises(ValueError, match="TransNConfig.stream_corpus"):
+            TransNConfig(**{**_CONFIG, "stream_corpus": False})
 
-    def test_spill_requires_streaming(self):
-        with pytest.raises(ValueError, match="stream_corpus"):
-            TransNConfig(**{**_CONFIG, "spill_dir": "/tmp/x"})
+    def test_stream_corpus_true_accepted(self):
+        assert TransNConfig(**{**_CONFIG, "stream_corpus": True}).stream_corpus
+
+    def test_budget_and_spill_need_no_flag(self):
+        cfg = TransNConfig(
+            **{**_CONFIG, "corpus_budget_mb": 64.0, "spill_dir": "/tmp/x"}
+        )
+        assert cfg.corpus_budget_mb == 64.0 and cfg.spill_dir == "/tmp/x"
 
     def test_bad_dtype_rejected(self):
         with pytest.raises(ValueError, match="dtype"):
             TransNConfig(**{**_CONFIG, "dtype": "float16"})
-
-    def test_streaming_conflicts_with_prefetch(self):
-        with pytest.raises(ValueError, match="prefetch"):
-            TransNConfig(
-                **{**_CONFIG, "stream_corpus": True, "prefetch": True}
-            )
 
     def test_spill_conflicts_with_relation_balancing(self):
         with pytest.raises(ValueError, match="relation-balanced"):
             TransNConfig(
                 **{
                     **_CONFIG,
-                    "stream_corpus": True,
                     "spill_dir": "/tmp/x",
                     "walk_policy": "relation-balanced",
                 }
@@ -199,7 +196,6 @@ class TestConfigValidation:
             **{
                 **_CONFIG,
                 "dim": 64,
-                "stream_corpus": True,
                 "corpus_budget_mb": 16 / 1024,
             }
         )
@@ -215,7 +211,6 @@ class TestConfigValidation:
             )
         )
         cfg = TransNConfig(
-            stream_corpus=True,
             corpus_budget_mb=1.0,
             dtype="float32",
             cross_paths_per_pair=1000,
@@ -241,7 +236,6 @@ class TestConfigValidation:
             )
         )
         cfg = TransNConfig(
-            stream_corpus=True,
             corpus_budget_mb=1.0,
             walk_length=8,
             cross_paths_per_pair=8,
@@ -275,7 +269,7 @@ class TestConfigValidation:
 
     def test_budget_bytes_property(self):
         cfg = TransNConfig(
-            **{**_CONFIG, "stream_corpus": True, "corpus_budget_mb": 2.0}
+            **{**_CONFIG, "corpus_budget_mb": 2.0}
         )
         assert cfg.corpus_budget_bytes == 2 * 1024 * 1024
         assert TransNConfig(**_CONFIG).corpus_budget_bytes is None

@@ -27,6 +27,7 @@ from repro.datasets import AMinerConfig, make_aminer, two_view_toy
 from repro.engine.observability import MetricsRegistry
 from repro.graph import build_view_pairs, separate_views
 
+from tests.core.per_chunk_oracle import use_per_chunk
 from tests.core.tape_oracle import tape_gradients, tape_train_step
 from tests.core.test_determinism import _CONFIG
 
@@ -206,11 +207,12 @@ class TestMicroBatching:
 class TestTapeEquivalence:
     @pytest.mark.parametrize("batched", [True, False])
     def test_full_fit_matches_tape(self, monkeypatch, batched):
+        if not batched:
+            use_per_chunk(monkeypatch)
+
         def fit() -> dict:
             graph, _ = two_view_toy()
-            model = TransN(
-                graph, TransNConfig(**_CONFIG, batched_cross_view=batched)
-            )
+            model = TransN(graph, TransNConfig(**_CONFIG))
             model.fit()
             return model.embeddings()
 

@@ -267,15 +267,15 @@ class TestProgressReporter:
 
 class TestSkipGramPhaseIntegration:
     def test_phase_trains_through_pipeline(self, rng):
-        from repro.engine import CorpusPipeline
+        from repro.engine import StreamingCorpusPipeline
         from repro.skipgram import SkipGramTrainer
         from repro.walks.corpus import WalkCorpus
 
         num_nodes = 6
         walks = [[i % num_nodes for i in range(j, j + 4)] for j in range(12)]
 
-        pipeline = CorpusPipeline(
-            sample_corpus=lambda: WalkCorpus.from_paths(walks, 4),
+        pipeline = StreamingCorpusPipeline(
+            sample_blocks=lambda: [WalkCorpus.from_paths(walks, 4)],
             num_nodes=num_nodes,
             window=1,
             num_negatives=2,

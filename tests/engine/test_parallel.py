@@ -1,5 +1,5 @@
 """Parallel-runtime tests: shared-memory CSR, determinism, fallback,
-wave scheduling, prefetch, and the cheap-pickle contract.
+wave scheduling, and the cheap-pickle contract.
 
 The central claims under test:
 
@@ -27,7 +27,6 @@ from repro.engine.observability import MetricsRegistry
 from repro.engine.parallel import (
     _ATTACHED,
     ParallelRuntime,
-    PrefetchingSampler,
     SharedCSR,
     attach_shared_csr,
     conflict_waves,
@@ -263,6 +262,36 @@ class TestBuildCorpus:
         )
         assert not np.array_equal(first.matrix, second.matrix)
 
+    def test_is_the_one_block_stream(self, runtime, toy_view):
+        """A build is the stream's single block: same seeds, same bytes."""
+        seed = single_view_seed(7, 0, 2)
+        built = runtime.build_corpus(
+            toy_view, BiasedCorrelatedPolicy(), length=8, seed_seq=seed
+        )
+        for block_walks in (None, 10**6):
+            blocks = list(
+                runtime.stream_corpus(
+                    toy_view,
+                    BiasedCorrelatedPolicy(),
+                    length=8,
+                    block_walks=block_walks,
+                    seed_seq=seed,
+                )
+            )
+            assert len(blocks) == 1
+            np.testing.assert_array_equal(blocks[0].matrix, built.matrix)
+            np.testing.assert_array_equal(blocks[0].lengths, built.lengths)
+
+    def test_empty_start_law_gives_empty_corpus(self, runtime, toy_view):
+        corpus = runtime.build_corpus(
+            toy_view,
+            UniformPolicy(),
+            length=4,
+            walks_per_node_override=0,
+            seed_seq=single_view_seed(7, 0, 0),
+        )
+        assert corpus.matrix.shape == (0, 4)
+
     def test_short_length_rejected(self, runtime, toy_view):
         with pytest.raises(ValueError, match="walk length"):
             runtime.build_corpus(
@@ -395,62 +424,6 @@ class TestFallback:
 
 
 # ----------------------------------------------------------------------
-# prefetch
-# ----------------------------------------------------------------------
-class TestPrefetchingSampler:
-    def test_hits_misses_and_reset(self, toy_view):
-        metrics = MetricsRegistry()
-        with ParallelRuntime(1, metrics=metrics) as rt:
-            built = []
-
-            def make_task(index):
-                def build():
-                    built.append(index)
-                    return rt.build_corpus(
-                        toy_view,
-                        UniformPolicy(),
-                        length=4,
-                        seed_seq=single_view_seed(7, 0, index),
-                    )
-
-                return build
-
-            sampler = PrefetchingSampler(rt, make_task)
-            first = sampler.corpus(0)  # no pending build: a miss-free sync
-            assert sampler.next_index == 1
-            second = sampler.corpus(1)  # consumes the prefetched build
-            assert metrics.counters["parallel/prefetch/hits"] == 1.0
-            jumped = sampler.corpus(5)  # stale pending: discard + rebuild
-            assert metrics.counters["parallel/prefetch/misses"] == 1.0
-            sampler.reset()
-            assert sampler.next_index is None
-            assert 0 in built and 1 in built and 5 in built
-            for corpus in (first, second, jumped):
-                assert corpus.matrix.shape[1] == 4
-
-    def test_prefetched_equals_on_demand(self, toy_view):
-        with ParallelRuntime(1) as rt:
-            seed = single_view_seed(3, 0, 0)
-            direct = rt.build_corpus(
-                toy_view, UniformPolicy(), length=4, seed_seq=seed
-            )
-            sampler = PrefetchingSampler(
-                rt,
-                lambda index: lambda: rt.build_corpus(
-                    toy_view,
-                    UniformPolicy(),
-                    length=4,
-                    seed_seq=single_view_seed(3, 0, index),
-                ),
-            )
-            sampler.corpus(0)  # schedules draw 1 in the background
-            sampler.reset()
-            np.testing.assert_array_equal(
-                sampler.corpus(0).matrix, direct.matrix
-            )
-
-
-# ----------------------------------------------------------------------
 # model-level integration
 # ----------------------------------------------------------------------
 class TestParallelModel:
@@ -459,12 +432,6 @@ class TestParallelModel:
         assert set(first) == set(second)
         for node in first:
             np.testing.assert_array_equal(first[node], second[node])
-
-    def test_prefetch_does_not_change_results(self):
-        on = _fit(workers=2)  # prefetch defaults on for this config
-        off = _fit(workers=2, prefetch=False)
-        for node in on:
-            np.testing.assert_array_equal(on[node], off[node])
 
     def test_workers0_is_the_serial_path(self):
         graph, _ = two_view_toy()

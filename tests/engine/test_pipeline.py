@@ -3,16 +3,23 @@
 import numpy as np
 import pytest
 
-from repro.engine import CorpusPipeline, EdgeSamplingPipeline, SkipGramBatch
+from repro.engine import (
+    EdgeSamplingPipeline,
+    SkipGramBatch,
+    StreamingCorpusPipeline,
+)
 from repro.walks.corpus import WalkCorpus
 
 
-def _fixed_corpus_pipeline(rng, *, batch_size=8, num_negatives=3, window=2):
+def _fixed_corpus():
     walks = [[(i + j) % 5 for j in range(6)] for i in range(4)]
-    return CorpusPipeline(
-        sample_corpus=lambda: WalkCorpus.from_paths(
-            [list(w) for w in walks], 6
-        ),
+    return WalkCorpus.from_paths(walks, 6)
+
+
+def _fixed_corpus_pipeline(rng, *, batch_size=8, num_negatives=3, window=2):
+    """Every epoch streams the same four walks as one block."""
+    return StreamingCorpusPipeline(
+        sample_blocks=lambda: [_fixed_corpus()],
         num_nodes=5,
         window=window,
         num_negatives=num_negatives,
@@ -34,7 +41,7 @@ class TestCorpusPipeline:
 
     def test_all_pairs_covered_once(self, rng):
         pipeline = _fixed_corpus_pipeline(rng, batch_size=7)
-        corpus = pipeline.sample_corpus()
+        corpus = _fixed_corpus()
         centers, contexts = pipeline.pairs(corpus)
         batches = list(pipeline.epoch())
         streamed_centers = np.concatenate([b.centers for b in batches])
@@ -50,7 +57,7 @@ class TestCorpusPipeline:
         from repro.skipgram import extract_pairs
 
         pipeline = _fixed_corpus_pipeline(rng, window=2)
-        corpus = pipeline.sample_corpus()
+        corpus = _fixed_corpus()
         centers, contexts = pipeline.pairs(corpus)
         expected = []
         for walk in corpus.paths() if corpus.graph else corpus:
@@ -67,7 +74,8 @@ class TestCorpusPipeline:
 
     def test_noise_table_cached_across_epochs(self, rng):
         pipeline = _fixed_corpus_pipeline(rng)
-        corpus = pipeline.sample_corpus()
+        corpus = _fixed_corpus()
+        list(pipeline.epoch())
         first = pipeline.noise(corpus)
         assert pipeline.noise(corpus) is first
         list(pipeline.epoch())
@@ -75,7 +83,7 @@ class TestCorpusPipeline:
 
     def test_noise_counts_are_corpus_frequencies(self, rng):
         pipeline = _fixed_corpus_pipeline(rng)
-        corpus = pipeline.sample_corpus()
+        corpus = _fixed_corpus()
         counts = corpus.frequency_counts(5)
         expected = np.zeros(5)
         for walk in corpus:
@@ -93,8 +101,8 @@ class TestCorpusPipeline:
             np.testing.assert_array_equal(a.negatives, b.negatives)
 
     def test_empty_corpus_yields_nothing(self, rng):
-        pipeline = CorpusPipeline(
-            sample_corpus=lambda: WalkCorpus.from_paths([], 0),
+        pipeline = StreamingCorpusPipeline(
+            sample_blocks=lambda: [WalkCorpus.from_paths([], 0)],
             num_nodes=3,
             window=2,
             rng=rng,
@@ -103,15 +111,15 @@ class TestCorpusPipeline:
 
     def test_validation(self, rng):
         kwargs = dict(
-            sample_corpus=lambda: WalkCorpus.from_paths([], 0),
+            sample_blocks=lambda: [],
             num_nodes=3,
         )
         with pytest.raises(ValueError):
-            CorpusPipeline(window=0, **kwargs)
+            StreamingCorpusPipeline(window=0, **kwargs)
         with pytest.raises(ValueError):
-            CorpusPipeline(window=2, num_negatives=0, **kwargs)
+            StreamingCorpusPipeline(window=2, num_negatives=0, **kwargs)
         with pytest.raises(ValueError):
-            CorpusPipeline(window=2, batch_size=0, **kwargs)
+            StreamingCorpusPipeline(window=2, batch_size=0, **kwargs)
 
 
 class TestEdgeSamplingPipeline:

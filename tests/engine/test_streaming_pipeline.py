@@ -1,19 +1,25 @@
-"""StreamingCorpusPipeline: dense equivalence, budget law, noise freeze."""
+"""StreamingCorpusPipeline: one-block equivalence, budget law, noise freeze."""
 
 import numpy as np
 import pytest
 
 from repro.datasets.fixtures import two_view_toy
 from repro.engine.pipeline import (
-    CorpusPipeline,
     StreamingCorpusPipeline,
     block_walks_for_budget,
     cross_view_chunks_for_budget,
     cross_view_step_bytes,
     pairs_per_walk,
 )
+from repro.graph.csr import csr_adjacency
 from repro.graph.views import separate_views
-from repro.walks import LockstepWalker, build_corpus, stream_corpus
+from repro.skipgram import NoiseDistribution
+from repro.walks import LockstepWalker, stream_corpus
+from repro.walks.corpus import (
+    WalkCorpus,
+    extract_index_pairs,
+    walk_start_nodes,
+)
 from repro.walks.policies import make_policy
 
 
@@ -22,20 +28,40 @@ def _view():
     return separate_views(graph)[0]
 
 
-def _dense(view, seed, **kw):
+def _dense_reference(view, seed, epochs):
+    """Batches of the materialize-the-corpus path, written out by hand.
+
+    Per epoch: every start walked in one lockstep call, one shuffle, all
+    Definition-6 pairs, then negatives per batch from a noise table
+    built once from the first corpus.
+    """
     rng = np.random.default_rng(seed)
     walker = LockstepWalker(view, make_policy("biased"), rng=rng)
-    return CorpusPipeline(
-        sample_corpus=lambda: build_corpus(
-            view, walker, length=8, floor=2, cap=3, rng=rng
-        ),
-        num_nodes=view.num_nodes,
-        window=1,
-        num_negatives=3,
-        batch_size=16,
-        rng=rng,
-        **kw,
+    starts = walk_start_nodes(
+        csr_adjacency(view.graph).degrees, walker.policy, floor=2, cap=3
     )
+    noise = None
+    for _ in range(epochs):
+        matrix, lengths = walker.walk_batch(starts, 8)
+        order = rng.permutation(matrix.shape[0])
+        corpus = WalkCorpus(matrix[order], lengths[order], 8, view.graph)
+        centers, contexts = extract_index_pairs(corpus, 1)
+        if noise is None:
+            noise = NoiseDistribution(
+                corpus.frequency_counts(view.num_nodes), view.num_nodes
+            )
+        batches = []
+        for start in range(0, centers.size, 16):
+            end = min(start + 16, centers.size)
+            negatives = noise.sample(rng, size=(end - start) * 3)
+            batches.append(
+                (
+                    centers[start:end],
+                    contexts[start:end],
+                    negatives.reshape(end - start, 3),
+                )
+            )
+        yield batches
 
 
 def _streaming(view, seed, block_walks=None, **kw):
@@ -65,11 +91,10 @@ def _batches(pipeline):
 class TestDenseEquivalence:
     def test_single_block_batches_bit_identical_across_epochs(self):
         view = _view()
-        dense = _dense(view, 7)
         streaming = _streaming(view, 7)
-        for _ in range(3):
+        for dense in _dense_reference(view, 7, epochs=3):
             for (c1, x1, n1), (c2, x2, n2) in zip(
-                _batches(dense), _batches(streaming), strict=True
+                dense, _batches(streaming), strict=True
             ):
                 assert np.array_equal(c1, c2)
                 assert np.array_equal(x1, x2)
@@ -211,10 +236,27 @@ class TestNoiseSchedule:
         assert np.array_equal(a, b)
 
     def test_accepts_dense_pipeline_state(self):
-        # resuming a dense checkpoint into streaming mode must work
+        """Checkpoints of the removed dense pipeline hold only the first
+        corpus's counts (no freeze flag); they load frozen, with the
+        table those counts build."""
         view = _view()
-        dense = _dense(view, 7)
-        list(dense.epoch())
+        corpus = next(_streaming(view, 7).sample_blocks())
+        counts = NoiseDistribution(
+            corpus.frequency_counts(view.num_nodes), view.num_nodes
+        ).counts.copy()
         streaming = _streaming(view, 7)
-        streaming.load_state_dict(dense.state_dict())
+        streaming.load_state_dict({"noise_counts": counts})
+        assert streaming._frozen
+        expected = NoiseDistribution(counts, view.num_nodes)
+        a = expected.sample(np.random.default_rng(0), size=256)
+        b = streaming._table().sample(np.random.default_rng(0), size=256)
+        assert np.array_equal(a, b)
+        list(streaming.epoch())  # a frozen table takes no more counts
+        assert np.array_equal(streaming._counts, counts)
+
+    def test_accepts_dense_pipeline_state_before_first_epoch(self):
+        streaming = _streaming(_view(), 7)
+        streaming.load_state_dict({"noise_counts": None})
+        assert not streaming._frozen
+        list(streaming.epoch())
         assert streaming._frozen

@@ -56,7 +56,8 @@ class TestRegistry:
             ).items()
         }
         assert not methods["TransN-Without-Cross-View"].config.use_cross_view
-        assert methods["TransN-With-Simple-Walk"].config.simple_walk
+        simple_walk = methods["TransN-With-Simple-Walk"].config
+        assert simple_walk.walk_policy == "uniform"
         assert methods["TransN-With-Simple-Translator"].config.simple_translator
         assert not methods[
             "TransN-Without-Translation-Tasks"

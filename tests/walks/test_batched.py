@@ -14,13 +14,24 @@ from scipy import stats
 
 from repro.graph import HeteroGraph, separate_views
 from repro.walks import (
-    BatchedBiasedCorrelatedWalker,
-    BatchedUniformWalker,
+    BiasedCorrelatedPolicy,
     BiasedCorrelatedWalker,
+    LockstepWalker,
+    UniformPolicy,
 )
 
 _TRIALS = 20_000
 _TOL = 0.02
+
+
+def uniform_walker(view_or_graph, rng):
+    return LockstepWalker(view_or_graph, UniformPolicy(), rng=rng)
+
+
+def biased_walker(view_or_graph, rng, correlated=None):
+    return LockstepWalker(
+        view_or_graph, BiasedCorrelatedPolicy(correlated=correlated), rng=rng
+    )
 
 
 def _first_step_shares(walker, graph, start, trials=_TRIALS):
@@ -47,12 +58,12 @@ class TestBatchedUniform:
             g.add_node(n, "t")
         g.add_edge("c", "h", "e", weight=1000.0)
         g.add_edge("c", "l", "e", weight=0.001)
-        walker = BatchedUniformWalker(g, rng=rng)
+        walker = uniform_walker(g, rng=rng)
         shares = _first_step_shares(walker, g, "c")
         assert shares["h"] == pytest.approx(0.5, abs=_TOL)
 
     def test_walks_follow_edges(self, rating_view, rng):
-        walker = BatchedUniformWalker(rating_view, rng=rng)
+        walker = uniform_walker(rating_view, rng=rng)
         graph = rating_view.graph
         starts = np.arange(graph.num_nodes, dtype=np.int64)
         matrix, lengths = walker.walk_batch(starts, 8)
@@ -67,7 +78,7 @@ class TestBatchedUniform:
         g.add_node("a", "t")
         g.add_node("b", "t")
         g.add_edge("a", "b", "e")
-        walker = BatchedUniformWalker(g, rng=rng)
+        walker = uniform_walker(g, rng=rng)
         starts = np.array(
             [g.index_of("lonely"), g.index_of("a")], dtype=np.int64
         )
@@ -82,7 +93,7 @@ class TestBatchedBiasedPi1:
 
     def test_first_step_matches_scalar_distribution(self, rating_view, rng):
         scalar = BiasedCorrelatedWalker(rating_view, rng=rng)
-        batched = BatchedBiasedCorrelatedWalker(rating_view, rng=rng)
+        batched = biased_walker(rating_view, rng=rng)
         expected = scalar.step_distribution("R1")
         shares = _first_step_shares(batched, rating_view.graph, "R1")
         for node, p in expected.items():
@@ -92,8 +103,8 @@ class TestBatchedBiasedPi1:
         view = separate_views(triangle)[0]
         assert view.is_homo
         scalar = BiasedCorrelatedWalker(view, rng=rng)
-        batched = BatchedBiasedCorrelatedWalker(view, rng=rng)
-        assert not batched.correlated
+        batched = biased_walker(view, rng=rng)
+        assert not batched.policy.correlated
         graph = view.graph
         # condition on arriving at "y": second-step law must still be pi_1
         starts = np.full(_TRIALS, graph.index_of("x"), dtype=np.int64)
@@ -128,8 +139,8 @@ class TestBatchedCorrelatedPi2:
         view = self._forced_first_step_graph()
         assert view.is_heter
         scalar = BiasedCorrelatedWalker(view, rng=rng)
-        batched = BatchedBiasedCorrelatedWalker(view, rng=rng)
-        assert batched.correlated
+        batched = biased_walker(view, rng=rng)
+        assert batched.policy.correlated
         graph = view.graph
         starts = np.full(_TRIALS, graph.index_of("u"), dtype=np.int64)
         matrix, _ = batched.walk_batch(starts, 3)
@@ -155,7 +166,7 @@ class TestBatchedCorrelatedPi2:
         g.add_edge("x", "a", "e", weight=2.0)
         g.add_edge("x", "b", "e", weight=2.0)
         view = separate_views(g)[0]
-        batched = BatchedBiasedCorrelatedWalker(view, rng=rng)
+        batched = biased_walker(view, rng=rng)
         graph = view.graph
         starts = np.full(_TRIALS, graph.index_of("u"), dtype=np.int64)
         matrix, _ = batched.walk_batch(starts, 3)
@@ -168,14 +179,14 @@ class TestBatchedCorrelatedPi2:
         assert share_a == pytest.approx(expected["a"], abs=_TOL)
 
     def test_correlation_override(self, triangle, rng):
-        walker = BatchedBiasedCorrelatedWalker(
+        walker = biased_walker(
             separate_views(triangle)[0], rng=rng, correlated=True
         )
-        assert walker.correlated
+        assert walker.policy.correlated
 
     def test_mixed_branches_long_walk_valid(self, rating_view, rng):
         """Long correlated walks stay on edges and keep full length."""
-        batched = BatchedBiasedCorrelatedWalker(rating_view, rng=rng)
+        batched = biased_walker(rating_view, rng=rng)
         graph = rating_view.graph
         starts = np.tile(np.arange(graph.num_nodes, dtype=np.int64), 50)
         matrix, lengths = batched.walk_batch(starts, 12)
@@ -197,7 +208,7 @@ class TestBatchedCorrelatedPi2:
         """
         view = self._forced_first_step_graph()
         scalar = BiasedCorrelatedWalker(view, rng=rng)
-        batched = BatchedBiasedCorrelatedWalker(view, rng=rng)
+        batched = biased_walker(view, rng=rng)
         graph = view.graph
         starts = np.full(_TRIALS, graph.index_of("u"), dtype=np.int64)
         matrix, _ = batched.walk_batch(starts, 3)
@@ -218,7 +229,7 @@ class TestBatchedCorrelatedPi2:
     def test_first_step_chi_square_bound(self, rating_view, rng):
         """Same bound on the pure pi_1 branch over the Figure 4 view."""
         scalar = BiasedCorrelatedWalker(rating_view, rng=rng)
-        batched = BatchedBiasedCorrelatedWalker(rating_view, rng=rng)
+        batched = biased_walker(rating_view, rng=rng)
         graph = rating_view.graph
         starts = np.full(_TRIALS, graph.index_of("R1"), dtype=np.int64)
         matrix, _ = batched.walk_batch(starts, 2)
@@ -238,7 +249,7 @@ class TestBatchedCorrelatedPi2:
     def test_stuck_walk_keeps_prefix(self, rng):
         g = HeteroGraph()
         g.add_node("iso", "t")
-        walker = BatchedBiasedCorrelatedWalker(g, rng=rng)
+        walker = biased_walker(g, rng=rng)
         matrix, lengths = walker.walk_batch(
             np.array([g.index_of("iso")], dtype=np.int64), 4
         )

@@ -5,8 +5,9 @@ import pytest
 
 from repro.graph import HeteroGraph, separate_views
 from repro.walks import (
-    BatchedBiasedCorrelatedWalker,
-    BatchedUniformWalker,
+    BiasedCorrelatedPolicy,
+    LockstepWalker,
+    UniformPolicy,
     UniformWalker,
     build_corpus,
 )
@@ -63,7 +64,7 @@ class TestWalkCorpus:
 class TestBuildCorpus:
     def test_respects_policy(self, academic, rng):
         view = separate_views(academic)[1]  # authorship
-        walker = BatchedUniformWalker(view, rng=rng)
+        walker = LockstepWalker(view, UniformPolicy(), rng=rng)
         corpus = build_corpus(view, walker, length=5, floor=2, cap=4, rng=rng)
         # every view node has degree in [1, 5]; counts in [2, 4]
         assert 2 * view.num_nodes <= len(corpus) <= 4 * view.num_nodes
@@ -71,7 +72,7 @@ class TestBuildCorpus:
 
     def test_override_count(self, academic, rng):
         view = separate_views(academic)[1]
-        walker = BatchedUniformWalker(view, rng=rng)
+        walker = LockstepWalker(view, UniformPolicy(), rng=rng)
         corpus = build_corpus(
             view, walker, length=4, walks_per_node_override=3, rng=rng
         )
@@ -92,23 +93,33 @@ class TestBuildCorpus:
         g = HeteroGraph.from_edges(
             [("a", "b", "e", 1.0)], {"a": "t", "b": "t", "iso": "t"}
         )
-        walker = BatchedUniformWalker(g, rng=rng)
+        walker = LockstepWalker(g, UniformPolicy(), rng=rng)
         corpus = build_corpus(g, walker, length=3, walks_per_node_override=2, rng=rng)
         iso = g.index_of("iso")
         assert not (corpus.matrix == iso).any()
 
     def test_walks_follow_edges(self, academic, rng):
         view = separate_views(academic)[1]
-        walker = BatchedBiasedCorrelatedWalker(view, rng=rng)
+        walker = LockstepWalker(view, BiasedCorrelatedPolicy(), rng=rng)
         corpus = build_corpus(view, walker, length=6, floor=2, cap=2, rng=rng)
         graph = view.graph
         for walk in corpus.paths():
             for a, b in zip(walk, walk[1:]):
                 assert graph.has_edge(a, b)
 
+    def test_empty_start_law_gives_empty_corpus(self, academic, rng):
+        view = separate_views(academic)[1]
+        walker = LockstepWalker(view, UniformPolicy(), rng=rng)
+        corpus = build_corpus(
+            view, walker, length=4, walks_per_node_override=0, rng=rng
+        )
+        assert len(corpus) == 0
+        assert corpus.matrix.shape == (0, 4)
+        assert corpus.graph is view.graph
+
     def test_length_validation(self, academic, rng):
         view = separate_views(academic)[0]
-        walker = BatchedUniformWalker(view, rng=rng)
+        walker = LockstepWalker(view, UniformPolicy(), rng=rng)
         with pytest.raises(ValueError):
             build_corpus(view, walker, length=1, rng=rng)
 
@@ -213,7 +224,7 @@ class TestChunkPaths:
 
     def test_all_chunks_uniform_length(self, academic, rng):
         view = separate_views(academic)[1]
-        walker = BatchedBiasedCorrelatedWalker(view, rng=rng)
+        walker = LockstepWalker(view, BiasedCorrelatedPolicy(), rng=rng)
         corpus = build_corpus(view, walker, length=9, floor=2, cap=2, rng=rng)
         chunks = chunk_paths(corpus, 4)
         assert chunks.shape[1] == 4

@@ -1,25 +1,29 @@
-"""Tests for the metapath-constrained walker."""
+"""Tests for scalar metapath walks (ReferenceWalker + MetapathPolicy)."""
 
 import pytest
 
-from repro.walks import MetapathWalker
+from repro.walks import MetapathPolicy, ReferenceWalker
+
+
+def metapath_walker(graph, metapath, rng=None):
+    return ReferenceWalker(graph, MetapathPolicy(metapath), rng=rng)
 
 
 class TestValidation:
     def test_too_short(self, academic, rng):
         with pytest.raises(ValueError):
-            MetapathWalker(academic, ["author"], rng=rng)
+            metapath_walker(academic, ["author"], rng=rng)
 
     def test_not_cyclic(self, academic, rng):
         with pytest.raises(ValueError, match="cyclic"):
-            MetapathWalker(academic, ["author", "paper"], rng=rng)
+            metapath_walker(academic, ["author", "paper"], rng=rng)
 
     def test_unknown_type(self, academic, rng):
         with pytest.raises(ValueError, match="unknown node types"):
-            MetapathWalker(academic, ["alien", "paper", "alien"], rng=rng)
+            metapath_walker(academic, ["alien", "paper", "alien"], rng=rng)
 
     def test_off_path_start_type(self, academic, rng):
-        walker = MetapathWalker(
+        walker = metapath_walker(
             academic, ["author", "paper", "author"], rng=rng
         )
         with pytest.raises(ValueError, match="never visits"):
@@ -28,7 +32,7 @@ class TestValidation:
     def test_on_path_start_enters_mid_cycle(self, academic, rng):
         """A paper start on the author-paper cycle aligns to the paper
         position instead of erroring (cross-view walks start anywhere)."""
-        walker = MetapathWalker(
+        walker = metapath_walker(
             academic, ["author", "paper", "author"], rng=rng
         )
         walk = walker.walk("P1", 4)
@@ -38,7 +42,7 @@ class TestValidation:
 
 class TestWalks:
     def test_type_sequence_follows_pattern(self, academic, rng):
-        walker = MetapathWalker(
+        walker = metapath_walker(
             academic, ["author", "paper", "author"], rng=rng
         )
         walk = walker.walk("A1", 9)
@@ -47,7 +51,7 @@ class TestWalks:
             assert academic.node_type(node) == expected
 
     def test_longer_pattern(self, academic, rng):
-        walker = MetapathWalker(
+        walker = metapath_walker(
             academic,
             ["author", "paper", "paper", "author", "author"],
             rng=rng,
@@ -59,20 +63,21 @@ class TestWalks:
 
     def test_stops_when_no_typed_neighbor(self, academic, rng):
         # university nodes have no paper neighbours
-        walker = MetapathWalker(
+        walker = metapath_walker(
             academic, ["university", "paper", "university"], rng=rng
         )
         walk = walker.walk("U1", 6)
         assert walk == ["U1"]
 
     def test_start_nodes(self, academic, rng):
-        walker = MetapathWalker(
+        walker = metapath_walker(
             academic, ["paper", "author", "paper"], rng=rng
         )
-        assert sorted(walker.start_nodes()) == ["P1", "P2"]
+        starts = walker.policy.start_indices()
+        assert sorted(academic.node_at(int(i)) for i in starts) == ["P1", "P2"]
 
     def test_edges_exist(self, academic, rng):
-        walker = MetapathWalker(
+        walker = metapath_walker(
             academic, ["author", "paper", "author"], rng=rng
         )
         walk = walker.walk("A2", 7)

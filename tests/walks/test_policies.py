@@ -5,7 +5,7 @@ Every policy's batched sampler is checked against its own exact
 the scalar :class:`ReferenceWalker` samples from that same ``slot_probs``,
 batched/scalar equivalence holds *by construction*: there is exactly one
 implementation of each transition formula to test.  The remaining tests
-cover deprecation shims, the policy registry, corpus integration
+cover the policy registry, corpus integration
 (``count_scale``, start restriction), and the BHIN2vec-style
 :class:`RelationBalancer` loop callback.
 """
@@ -23,15 +23,11 @@ from repro.engine.observability import MetricsRegistry
 from repro.graph import HeteroGraph, separate_views
 from repro.walks import (
     POLICY_NAMES,
-    BatchedBiasedCorrelatedWalker,
-    BatchedUniformWalker,
     BiasedCorrelatedPolicy,
     HetNode2VecPolicy,
     LockstepWalker,
     MetapathPolicy,
-    MetapathWalker,
     Node2VecPolicy,
-    Node2VecWalker,
     ReferenceWalker,
     SpaceyMetapathPolicy,
     UniformPolicy,
@@ -206,47 +202,6 @@ class TestScalarReference:
             BiasedCorrelatedPolicy().bind(bipartite), bipartite.index_of("a0")
         )
         _assert_chi_square(counts, law, trials)
-
-
-# ----------------------------------------------------------------------
-# bit-exact deprecation shims
-# ----------------------------------------------------------------------
-class TestDeprecatedShims:
-    def test_old_walkers_warn(self, academic):
-        for construct in (
-            lambda: BatchedUniformWalker(academic),
-            lambda: BatchedBiasedCorrelatedWalker(academic),
-            lambda: Node2VecWalker(academic),
-            lambda: MetapathWalker(academic, ["author", "paper", "author"]),
-        ):
-            with pytest.warns(DeprecationWarning):
-                construct()
-
-    def test_uniform_shim_bit_exact(self, academic):
-        with pytest.warns(DeprecationWarning):
-            old = BatchedUniformWalker(academic, rng=np.random.default_rng(7))
-        new = LockstepWalker(
-            academic, UniformPolicy(), rng=np.random.default_rng(7)
-        )
-        starts = np.arange(academic.num_nodes, dtype=np.int64)
-        old_m, old_l = old.walk_batch(starts, 6)
-        new_m, new_l = new.walk_batch(starts, 6)
-        np.testing.assert_array_equal(old_m, new_m)
-        np.testing.assert_array_equal(old_l, new_l)
-
-    def test_biased_shim_bit_exact(self, book_view):
-        view = separate_views(book_view)[0]
-        with pytest.warns(DeprecationWarning):
-            old = BatchedBiasedCorrelatedWalker(
-                view, rng=np.random.default_rng(11)
-            )
-        new = LockstepWalker(
-            view, BiasedCorrelatedPolicy(), rng=np.random.default_rng(11)
-        )
-        starts = np.arange(view.num_nodes, dtype=np.int64)
-        old_m, _ = old.walk_batch(starts, 10)
-        new_m, _ = new.walk_batch(starts, 10)
-        np.testing.assert_array_equal(old_m, new_m)
 
 
 # ----------------------------------------------------------------------
