@@ -9,8 +9,8 @@ Subcommands::
                    [--checkpoint-dir ckpts/ --checkpoint-every 2 --resume]
                    [--health-policy raise|rollback|skip]
                    [--report run.json --trace]
-                   [--shard-timeout 60 --on-spill-error degrade|raise]
-                   [--chaos worker.crash,spill.bitflip] ...
+                   [--on-spill-error degrade|raise]
+                   [--chaos spill.bitflip,checkpoint.write_error] ...
     repro classify <graph.tsv> <labels.tsv> [--method transn] ...
     repro linkpred <graph.tsv> [--method transn] [--removal 0.4] ...
     repro query    <emb.tnemb> (--node ID ... | --nodes-file f | --sample N
@@ -87,7 +87,6 @@ def _make_method(name: str, graph: HeteroGraph, args: argparse.Namespace):
     corpus_budget_mb = getattr(args, "corpus_budget_mb", None)
     spill_dir = getattr(args, "spill_dir", None)
     on_spill_error = getattr(args, "on_spill_error", "degrade")
-    shard_timeout = getattr(args, "shard_timeout", None)
     dtype = getattr(args, "dtype", "float64")
     if name == "transn":
         try:
@@ -101,7 +100,6 @@ def _make_method(name: str, graph: HeteroGraph, args: argparse.Namespace):
                 corpus_budget_mb=corpus_budget_mb,
                 spill_dir=spill_dir,
                 on_spill_error=on_spill_error,
-                shard_timeout=shard_timeout,
                 dtype=dtype,
                 **({} if walk_policy is None else {"walk_policy": walk_policy}),
             )
@@ -125,11 +123,6 @@ def _make_method(name: str, graph: HeteroGraph, args: argparse.Namespace):
             raise SystemExit(
                 "--corpus-budget-mb/--spill-dir are only supported for "
                 "--method transn; baselines draw each corpus as one block"
-            )
-        if shard_timeout is not None:
-            raise SystemExit(
-                "--shard-timeout is only supported for --method transn; "
-                "baselines sample their corpora serially"
             )
         if on_spill_error != "degrade":
             raise SystemExit(
@@ -243,7 +236,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         if args.method.lower() != "transn":
             raise SystemExit(
                 "--chaos is only supported for --method transn; baselines "
-                "have no hardened parallel/streaming paths to exercise"
+                "have no hardened streaming paths to exercise"
             )
         try:
             injector = faults.FaultInjector.from_spec(
@@ -251,14 +244,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
             )
         except ValueError as error:
             raise SystemExit(str(error)) from None
-        if (
-            "worker.hang" in injector.armed_points()
-            and getattr(args, "shard_timeout", None) is None
-        ):
-            raise SystemExit(
-                "--chaos worker.hang needs --shard-timeout (the watchdog "
-                "is what detects the hang)"
-            )
         faults.activate(injector)
         print(f"chaos armed: {', '.join(injector.armed_points())}")
     try:
@@ -551,8 +536,9 @@ def _add_method_options(parser: argparse.ArgumentParser) -> None:
         "--workers",
         type=int,
         default=0,
-        help="corpus-generation worker processes for TransN (0 = serial; "
-        "N >= 1 is deterministic per N — see docs/parallelism.md)",
+        help="TransN only: shard count of the seeded corpus draws (0 = "
+        "every draw off the model RNG; N >= 1 runs in one process and is "
+        "deterministic per N — see docs/parallelism.md)",
     )
     parser.add_argument(
         "--corpus-budget-mb",
@@ -574,14 +560,6 @@ def _add_method_options(parser: argparse.ArgumentParser) -> None:
         help="TransN only: what a corrupt or unwritable spill file does — "
         "degrade (default: record the incident, disable replay, "
         "regenerate the recorded draw) or raise (abort the run)",
-    )
-    parser.add_argument(
-        "--shard-timeout",
-        type=float,
-        default=None,
-        help="TransN only: per-shard watchdog deadline in seconds for "
-        "parallel corpus builds (needs --workers >= 1); a hung shard's "
-        "pool is killed and its work replayed in-process bit-identically",
     )
     parser.add_argument(
         "--dtype",
@@ -710,8 +688,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="POINT[:TIMES][,...]",
         help="arm deterministic fault injection for this run (transn "
         "only): comma-separated fault points, e.g. "
-        "'worker.crash,spill.bitflip' — the run must survive them; "
-        "incidents land in --report (docs/fault_tolerance.md)",
+        "'spill.bitflip,checkpoint.write_error' — the run must survive "
+        "them; incidents land in --report (docs/fault_tolerance.md)",
     )
     p_train.set_defaults(func=_cmd_train)
 

@@ -77,13 +77,13 @@ class TransNConfig:
             :class:`repro.engine.NumericalHealthGuard` with this policy
             ("raise", "rollback", or "skip"); ``None`` disables the
             guard.  Training infrastructure, not part of Algorithm 1.
-        workers: corpus-generation worker processes (0 = the serial
-            path: every draw comes off the model RNG).  Any
-            ``workers >= 1`` builds corpora through the
-            :class:`repro.engine.ParallelRuntime` (shared-memory CSR +
-            process pool) and trains view-disjoint cross-view pairs
-            concurrently; results are deterministic for a fixed worker
-            count but follow a different random stream than ``workers=0``
+        workers: the shard count of the ``workers >= 1`` seed law (0 =
+            every draw comes off the model RNG).  Any ``workers >= 1``
+            draws each corpus block as ``workers`` shards seeded by
+            :class:`repro.engine.ParallelRuntime` and each cross-view
+            pair epoch from its own stream; everything runs in one
+            process.  Results are deterministic for a fixed worker count
+            but follow a different random stream than ``workers=0``
             (``docs/parallelism.md``).  Training infrastructure, not
             part of Algorithm 1.
         stream_corpus: must be True.  Every corpus draw is a stream of
@@ -116,12 +116,6 @@ class TransNConfig:
             the run, and the recorded draw is regenerated from seeds
             captured at record time (``docs/fault_tolerance.md``);
             "raise" propagates the error instead.
-        shard_timeout: per-shard watchdog deadline (seconds) for
-            parallel corpus builds.  A shard outliving it is treated as
-            hung: the pool is killed and the remaining shards replay
-            in-process with the same seeds (bit-identical output), then
-            the pool is relaunched under backoff.  ``None`` (default)
-            disables the watchdog.  Needs ``workers >= 1``.
         dtype: "float64" (default; the determinism-golden layout) or
             "float32" — halves embedding, translator, and Adam-moment
             memory at a documented loss tolerance.
@@ -163,7 +157,6 @@ class TransNConfig:
     corpus_budget_mb: float | None = None
     spill_dir: str | None = None
     on_spill_error: str = "degrade"
-    shard_timeout: float | None = None
     dtype: str = "float64"
 
     seed: int = 0
@@ -233,13 +226,6 @@ class TransNConfig:
                 f"unknown on_spill_error {self.on_spill_error!r}; "
                 "expected 'degrade' or 'raise'"
             )
-        if self.shard_timeout is not None:
-            require(self.shard_timeout > 0, "shard_timeout", "must be > 0")
-            if self.workers < 1:
-                raise ValueError(
-                    "shard_timeout watches parallel corpus shards and "
-                    f"needs workers >= 1, got workers={self.workers}"
-                )
         if self.walk_policy not in POLICY_NAMES:
             raise ValueError(
                 f"unknown walk_policy {self.walk_policy!r}; "

@@ -33,8 +33,6 @@ budget a direction is one micro-batch.
 
 from __future__ import annotations
 
-import threading
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,7 +152,6 @@ class CrossViewTrainer:
         normalize_similarity: bool = True,
         policy_factory=None,
         budget_bytes: int | None = None,
-        step_lock: threading.Lock | None = None,
     ) -> None:
         if not (use_translation_tasks or use_reconstruction_tasks):
             raise ValueError("at least one cross-view task must be enabled")
@@ -217,9 +214,6 @@ class CrossViewTrainer:
         self._map_j_to_j = _index_map(self.sub_j.graph, pair.view_j.graph)
         self._map_j_to_i = _index_map(self.sub_j.graph, pair.view_i.graph)
 
-        # held for a whole step; trainers sharing one take their steps
-        # one at a time, so a budget bounds them together
-        self._step_lock = step_lock if step_lock is not None else nullcontext()
         #: most distinct embedding rows one step touches per side: a
         #: direction's chunks come from ``paths_per_epoch`` walks of
         #: ``walk_length`` common nodes, so the step's row buffers are
@@ -309,7 +303,8 @@ class CrossViewTrainer:
 
         Returns a ``(num_chunks, cross_path_len)`` index matrix in the
         subview's index space.  ``rng`` overrides the trainer's own
-        stream (the parallel layer passes a per-pair per-step generator).
+        stream (the ``workers >= 1`` seed law passes a per-pair per-step
+        generator).
         """
         if starts.size == 0:
             return np.empty((0, self.cross_path_len), dtype=np.int64)
@@ -354,39 +349,38 @@ class CrossViewTrainer:
         scale = 1.0 / chunks.size
         t_sum = r_sum = 0.0
         src_grads = tgt_grads = None
-        with self._step_lock:
-            self._translator_optim.zero_grad()
-            for start in range(0, num_chunks, micro):
-                block = chunks[start:start + micro]
-                src_rows = src_map[block]
-                tgt_rows = tgt_map[block] if self.use_translation else None
-                t, r, d_src, d_tgt = direction_step(
-                    forward,
-                    backward,
-                    source_emb[src_rows],
-                    None if tgt_rows is None else target_emb[tgt_rows],
-                    normalize=self.normalize,
-                    reconstruction=self.use_reconstruction,
-                    scale=scale,
-                )
-                t_sum += t
-                r_sum += r
-                src_grads = _merge_row_grads(src_grads, src_rows, d_src)
-                if d_tgt is not None:
-                    tgt_grads = _merge_row_grads(tgt_grads, tgt_rows, d_tgt)
-            if self.metrics.enabled:
-                self.metrics.observe(
-                    f"cross_view/{self.pair_label}/{self._metric_scope}"
-                    "grad_norm/translators",
-                    gradient_norm(
-                        param.grad
-                        for param in self._translator_optim.parameters
-                    ),
-                )
-            self._translator_optim.step()
-            source_adam.update(*src_grads)
-            if tgt_grads is not None:
-                target_adam.update(*tgt_grads)
+        self._translator_optim.zero_grad()
+        for start in range(0, num_chunks, micro):
+            block = chunks[start:start + micro]
+            src_rows = src_map[block]
+            tgt_rows = tgt_map[block] if self.use_translation else None
+            t, r, d_src, d_tgt = direction_step(
+                forward,
+                backward,
+                source_emb[src_rows],
+                None if tgt_rows is None else target_emb[tgt_rows],
+                normalize=self.normalize,
+                reconstruction=self.use_reconstruction,
+                scale=scale,
+            )
+            t_sum += t
+            r_sum += r
+            src_grads = _merge_row_grads(src_grads, src_rows, d_src)
+            if d_tgt is not None:
+                tgt_grads = _merge_row_grads(tgt_grads, tgt_rows, d_tgt)
+        if self.metrics.enabled:
+            self.metrics.observe(
+                f"cross_view/{self.pair_label}/{self._metric_scope}"
+                "grad_norm/translators",
+                gradient_norm(
+                    param.grad
+                    for param in self._translator_optim.parameters
+                ),
+            )
+        self._translator_optim.step()
+        source_adam.update(*src_grads)
+        if tgt_grads is not None:
+            target_adam.update(*tgt_grads)
         return t_sum * scale, r_sum * scale
 
     def _train_direction(
@@ -414,10 +408,8 @@ class CrossViewTrainer:
         """Lines 9-12 of Algorithm 1 for this view-pair.
 
         ``rng`` replaces the trainer's shared stream for this epoch's
-        sampling — with one private generator per pair per step the
-        epoch's result no longer depends on the order pairs run in,
-        which is what lets :meth:`repro.engine.ParallelRuntime.train_pairs`
-        run view-disjoint pairs on concurrent threads.
+        sampling: the ``workers >= 1`` seed law gives every pair its own
+        generator per step (:func:`repro.engine.parallel.pair_rng`).
         """
         losses = CrossViewLosses()
         chunks_i = self._sample_chunks(

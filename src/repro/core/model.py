@@ -14,8 +14,6 @@ Usage:
 from __future__ import annotations
 
 import copy
-import threading
-import weakref
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -170,17 +168,10 @@ class TransN:
                 ]
             self.view_embeddings[view.edge_type] = matrix
 
-        # the parallel runtime (workers >= 1) is created eagerly, on the
-        # main thread, before any helper thread exists — fork-safety of
-        # the worker pool (see repro.engine.parallel) — and torn down by
-        # a finalizer when the model is collected
+        # workers >= 1 follows the sharded seed law (repro.engine.parallel)
         self._parallel = (
-            ParallelRuntime(cfg.workers, shard_timeout=cfg.shard_timeout)
-            if cfg.workers > 0
-            else None
+            ParallelRuntime(cfg.workers) if cfg.workers > 0 else None
         )
-        if self._parallel is not None:
-            weakref.finalize(self, self._parallel.shutdown)
         self._cross_steps = 0  # cross-view step clock (parallel rng key)
 
         self.single_trainers = [
@@ -208,12 +199,6 @@ class TransN:
             for view_code, view in enumerate(self.views)
         ]
 
-        # a budget bounds the process, not each wave thread: concurrent
-        # pairs take turns on their translator steps (their sampling
-        # still overlaps), so one micro-batch is in flight at a time
-        step_lock = (
-            threading.Lock() if cfg.corpus_budget_bytes is not None else None
-        )
         self.cross_trainers = [
             CrossViewTrainer(
                 pair,
@@ -233,7 +218,6 @@ class TransN:
                 use_reconstruction_tasks=cfg.use_reconstruction_tasks,
                 normalize_similarity=cfg.normalize_similarity,
                 budget_bytes=cfg.corpus_budget_bytes,
-                step_lock=step_lock,
             )
             for pair in self.view_pairs
         ]
@@ -286,10 +270,10 @@ class TransN:
     def _cross_view_step(self) -> dict[str, float]:
         """Lines 9-12 of Algorithm 1: dual learning over every view-pair.
 
-        With a parallel runtime each pair draws from its own
-        ``pair_rng(seed, pair_index, step)`` stream and view-disjoint
-        pairs train on concurrent threads; serially every pair shares the
-        model RNG in pair order (the pre-parallel behaviour, bit-exact).
+        With a runtime (``workers >= 1``) each pair draws from its own
+        ``pair_rng(seed, pair_index, step)`` stream and the pairs run in
+        :func:`~repro.engine.parallel.conflict_waves` order; with
+        ``workers=0`` every pair shares the model RNG in pair order.
         """
         if self._parallel is not None and self.cross_trainers:
             rngs = [

@@ -28,18 +28,17 @@ the same three pieces:
 
 - a **fault-injection harness** (:mod:`repro.engine.faults`): the
   :class:`FaultInjector` deterministically arms named fault points
-  (worker crashes/hangs, spill bit rot, checkpoint write errors) so
+  (spill bit rot, full disks, checkpoint write errors) so
   chaos tests and ``--chaos`` runs can prove the hardening below
   actually preserves bit-identical results;
 
-- a **parallel layer** (see ``docs/parallelism.md``): the
-  :class:`ParallelRuntime` fans corpus generation across a process pool
-  over shared-memory CSR arrays (:class:`SharedCSR`), trains
-  and trains view-disjoint cross-view pairs concurrently
-  (:func:`conflict_waves`) — all behind the same :class:`BatchSource`
+- the **``workers >= 1`` seed law** (see ``docs/parallelism.md``): the
+  :class:`ParallelRuntime` draws each corpus block as seeded shards and
+  runs cross-view pairs on per-pair streams in :func:`conflict_waves`
+  order, in one process — behind the same :class:`BatchSource`
   protocol, with ``workers=0`` never constructing a runtime.
 
-This is the seam where instrumentation, scheduling, and parallelism
+This is the seam where instrumentation, scheduling, and seeding
 plug in once and apply to every method.
 """
 
@@ -66,7 +65,6 @@ from repro.engine.checkpoint import (
 )
 from repro.engine.faults import (
     FAULT_POINTS,
-    FaultInjected,
     FaultInjector,
     activate,
     get_active,
@@ -94,9 +92,6 @@ from repro.engine.parallel import (
     CROSS_VIEW_TAG,
     SINGLE_VIEW_TAG,
     ParallelRuntime,
-    SharedCSR,
-    SharedCSRSpec,
-    attach_shared_csr,
     conflict_waves,
     pair_rng,
     single_view_seed,
@@ -121,7 +116,6 @@ __all__ = [
     "EarlyStopping",
     "EdgeSamplingPipeline",
     "FAULT_POINTS",
-    "FaultInjected",
     "FaultInjector",
     "LinearLRDecay",
     "LoopResult",
@@ -140,8 +134,6 @@ __all__ = [
     "RelationBalancer",
     "RunReport",
     "SINGLE_VIEW_TAG",
-    "SharedCSR",
-    "SharedCSRSpec",
     "SkipGramBatch",
     "StreamingCorpusPipeline",
     "block_walks_for_budget",
@@ -151,7 +143,6 @@ __all__ = [
     "TrainingLoop",
     "TrainingState",
     "activate",
-    "attach_shared_csr",
     "conflict_waves",
     "dump_state",
     "get_active",

@@ -1,25 +1,18 @@
 """Deterministic fault injection for chaos-testing the training runtime.
 
-A production run at millions-of-edges scale must survive hung workers,
-crashed shards, bit-rotted spill files, and full disks without losing the
-epoch.  The hardening that makes that true lives in
-:mod:`repro.engine.parallel` (shard watchdog, in-process retry, pool
-relaunch), :mod:`repro.walks.spill` (per-block CRC32), and
+A long run must survive bit-rotted spill files and full disks without
+losing the epoch.  The hardening that makes that true lives in
+:mod:`repro.walks.spill` (per-block CRC32),
 :class:`repro.core.single_view.SingleViewTrainer` (graceful spill
-degradation) — this module provides the *controlled* failures that prove
-it works: a seeded :class:`FaultInjector` with named fault points that
-tests and the CLI's ``--chaos`` mode can arm.
+degradation), and :class:`repro.engine.Checkpointer` (a failed save
+warns and training continues) — this module provides the *controlled*
+failures that prove it works: a seeded :class:`FaultInjector` with named
+fault points that tests and the CLI's ``--chaos`` mode can arm.
 
 Fault points
 ------------
 
 ==========================  ==================================================
-``worker.crash``            the next pool shard's worker SIGKILLs itself
-                            (a true ``kill -9`` mid-shard)
-``worker.hang``             the next pool shard's worker sleeps past any
-                            reasonable deadline (exercises the shard watchdog)
-``worker.exception``        the next pool shard raises
-                            :class:`FaultInjected` inside the worker
 ``spill.write_enospc``      the next spill-block write raises
                             ``OSError(ENOSPC)`` (disk full while recording)
 ``spill.bitflip``           one byte of the next finalized spill file is
@@ -36,8 +29,9 @@ a fault point fires on exact invocation counts (``skip`` invocations let
 through, then ``times`` firings), and any randomness a fault needs (e.g.
 which byte to flip) comes from a per-point generator derived from the
 injector's seed — so an armed chaos run is exactly as reproducible as a
-clean one.  The hardened code paths are themselves deterministic (failed
-shards replay their seeds, corrupt spills regenerate the recorded draw),
+clean one.  The hardened code paths are themselves deterministic
+(corrupt spills regenerate the recorded draw, a lost checkpoint is
+rewritten at the next save),
 which is what lets tests assert *bit-identical* output under faults.
 
 Usage
@@ -45,17 +39,17 @@ Usage
 
 Tests arm a scoped injector::
 
-    injector = FaultInjector(seed=7).arm("worker.crash")
+    injector = FaultInjector(seed=7).arm("spill.bitflip")
     with scoped(injector):
         model.fit(...)
-    assert injector.fired["worker.crash"] == 1
+    assert injector.fired["spill.bitflip"] == 1
 
 The CLI arms a process-global one from ``--chaos``::
 
-    repro train g.tsv --out e.txt --chaos worker.crash,spill.bitflip
+    repro train g.tsv --out e.txt --chaos spill.bitflip,checkpoint.write_error
 
 Production code consults the module-level accessors (:func:`get_active`,
-:func:`fire_os_error`, :func:`worker_fault_for_submission`), which are a
+:func:`fire_os_error`), which are a
 ``None`` check when nothing is armed — the whole layer is zero-cost
 outside chaos runs.
 """
@@ -64,9 +58,7 @@ from __future__ import annotations
 
 import errno
 import os
-import signal
 import threading
-import time
 import zlib
 from contextlib import contextmanager
 from typing import Any, Iterator
@@ -75,25 +67,10 @@ import numpy as np
 
 #: every fault point an injector may arm
 FAULT_POINTS = (
-    "worker.crash",
-    "worker.hang",
-    "worker.exception",
     "spill.write_enospc",
     "spill.bitflip",
     "checkpoint.write_error",
 )
-
-#: the worker-executed points and the action verb shipped to the worker
-_WORKER_ACTIONS = {
-    "worker.crash": "crash",
-    "worker.hang": "hang",
-    "worker.exception": "exception",
-}
-
-
-class FaultInjected(RuntimeError):
-    """An armed fault point fired (simulated failure, not a real bug)."""
-
 
 class _Arming:
     """Invocation bookkeeping of one armed point (under the injector lock)."""
@@ -112,18 +89,13 @@ class FaultInjector:
     Args:
         seed: keys every per-point RNG (:meth:`rng`); two injectors with
             the same seed and armings produce identical chaos.
-        hang_seconds: how long a ``worker.hang`` fault sleeps.  Must
-            exceed the runtime's ``shard_timeout`` for the watchdog to
-            trip; the default is far past any sane deadline.
 
-    Thread safety: :meth:`should_fire` mutates counters under a lock —
-    cross-view wave threads and the training thread may probe points
-    concurrently.
+    Thread safety: :meth:`should_fire` mutates counters under a lock, so
+    one injector may be probed from several threads.
     """
 
-    def __init__(self, seed: int = 0, hang_seconds: float = 3600.0) -> None:
+    def __init__(self, seed: int = 0) -> None:
         self.seed = int(seed)
-        self.hang_seconds = float(hang_seconds)
         self._armings: dict[str, _Arming] = {}
         self._lock = threading.Lock()
         #: point -> number of times it actually fired
@@ -135,7 +107,7 @@ class FaultInjector:
         """Arm ``point`` to fire ``times`` times after ``skip`` passes.
 
         Returns ``self`` so armings chain:
-        ``FaultInjector(seed=7).arm("worker.crash").arm("spill.bitflip")``.
+        ``FaultInjector(seed=7).arm("spill.bitflip").arm("checkpoint.write_error")``.
         """
         if point not in FAULT_POINTS:
             raise ValueError(
@@ -150,15 +122,13 @@ class FaultInjector:
         return self
 
     @classmethod
-    def from_spec(
-        cls, spec: str, seed: int = 0, hang_seconds: float = 3600.0
-    ) -> "FaultInjector":
+    def from_spec(cls, spec: str, seed: int = 0) -> "FaultInjector":
         """Build an injector from a ``--chaos`` spec string.
 
         The spec is a comma-separated list of ``point`` or ``point:times``
-        entries, e.g. ``"worker.crash,spill.bitflip:2"``.
+        entries, e.g. ``"spill.bitflip,checkpoint.write_error:2"``.
         """
-        injector = cls(seed=seed, hang_seconds=hang_seconds)
+        injector = cls(seed=seed)
         for entry in spec.split(","):
             entry = entry.strip()
             if not entry:
@@ -271,41 +241,3 @@ def fire_os_error(point: str, err: int = errno.ENOSPC) -> None:
     injector = _ACTIVE
     if injector is not None:
         injector.fire_os_error(point, err)
-
-
-def worker_fault_for_submission() -> tuple[str, float] | None:
-    """Decide, in the parent, whether the next pool shard misbehaves.
-
-    Called once per shard submission by the parallel runtime.  Returns a
-    picklable ``(action, arg)`` order for :func:`execute_worker_fault`,
-    or ``None``.  The decision is consumed here — in-process fallback and
-    retry paths never re-fire it, which is what keeps faulted output
-    bit-identical to a clean run.
-    """
-    injector = _ACTIVE
-    if injector is None:
-        return None
-    for point, action in _WORKER_ACTIONS.items():
-        if injector.should_fire(point):
-            arg = injector.hang_seconds if action == "hang" else 0.0
-            return (action, arg)
-    return None
-
-
-def execute_worker_fault(fault: tuple[str, float] | None) -> None:
-    """Carry out a parent-ordered fault; runs inside a pool worker."""
-    if fault is None:
-        return
-    action, arg = fault
-    if action == "crash":
-        # a true kill -9: no cleanup, no exception machinery — the pool
-        # sees the worker vanish exactly as under the OOM killer
-        os.kill(os.getpid(), signal.SIGKILL)
-    elif action == "hang":
-        time.sleep(arg)
-    elif action == "exception":
-        raise FaultInjected(
-            "injected worker exception (fault point worker.exception)"
-        )
-    else:  # pragma: no cover - parent only emits the three actions
-        raise ValueError(f"unknown worker fault action {action!r}")

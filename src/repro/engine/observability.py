@@ -126,9 +126,7 @@ class MetricsRegistry:
     code can skip that work entirely when nobody is observing.
 
     All record operations are thread-safe (one registry lock around each
-    dict mutation): the parallel execution layer reports per-worker
-    timers and per-pair cross-view metrics from
-    concurrent threads into one registry.
+    dict mutation), so concurrent callers may share one registry.
     """
 
     enabled = True
@@ -187,8 +185,8 @@ class MetricsRegistry:
     def record_seconds(self, name: str, seconds: float) -> None:
         """Fold an externally measured duration into timer ``name``.
 
-        The parallel layer measures work inside pool processes and
-        reports the elapsed seconds back; this folds them into the same
+        For durations measured outside a :meth:`timer` block, such as
+        the serving layer's per-query clock; they land in the same
         aggregates :meth:`timer` feeds.
         """
         with self._lock:
@@ -237,8 +235,8 @@ class MetricsRegistry:
     def snapshot(self) -> dict[str, Any]:
         """Everything recorded so far, as a JSON-serializable dict.
 
-        Taken under the registry lock so a snapshot during an active
-        parallel phase never sees a half-updated timer or series.
+        Taken under the registry lock so a snapshot taken while another
+        thread records never sees a half-updated timer or series.
         """
         with self._lock:
             return self._snapshot_locked()

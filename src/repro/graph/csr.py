@@ -30,15 +30,6 @@ look at types never pay for the columns.
 
 One instance is cached per graph (:func:`csr_adjacency`); every walker —
 scalar or batched — over the same graph shares the same build.
-
-Instances are also cheaply picklable: :meth:`CSRAdjacency.__reduce__`
-ships only the six core arrays (plus whichever type columns were already
-built) and rebuilds a *detached* adjacency (``graph=None``) via
-:meth:`CSRAdjacency.from_arrays` — never the graph object, never the
-alias tables.  That keeps parallel worker dispatch
-(:mod:`repro.engine.parallel`) proportional to the payload actually
-needed, and lets workers reconstruct an adjacency directly over
-shared-memory arrays without any graph at all.
 """
 
 from __future__ import annotations
@@ -94,108 +85,6 @@ class CSRAdjacency:
         self._edge_keys: np.ndarray | None = None
 
     # ------------------------------------------------------------------
-    # detached construction & cheap pickling
-    # ------------------------------------------------------------------
-    #: the arrays every walk needs; the shared-memory layer ships exactly
-    #: these plus whichever optional columns the policy declares
-    CORE_FIELDS = (
-        "indptr",
-        "indices",
-        "weights",
-        "degrees",
-        "weight_sums",
-        "delta",
-    )
-
-    @classmethod
-    def from_arrays(
-        cls,
-        *,
-        indptr: np.ndarray,
-        indices: np.ndarray,
-        weights: np.ndarray,
-        degrees: np.ndarray,
-        weight_sums: np.ndarray,
-        delta: np.ndarray,
-        alias: tuple[np.ndarray, np.ndarray] | None = None,
-        type_names: tuple[str, ...] | None = None,
-        node_type_codes: np.ndarray | None = None,
-        slot_type_codes: np.ndarray | None = None,
-        edge_type_names: tuple[str, ...] | None = None,
-        slot_edge_type_codes: np.ndarray | None = None,
-        edge_keys: np.ndarray | None = None,
-        graph: HeteroGraph | None = None,
-    ) -> "CSRAdjacency":
-        """Assemble an adjacency directly from its flat arrays.
-
-        The worker-side entry point of the parallel layer: arrays may be
-        views over shared memory, ``graph=None`` leaves the instance
-        *detached* — everything derivable from the arrays works, but lazy
-        columns that need the graph (type tables not passed in) raise.
-        """
-        self = cls.__new__(cls)
-        self.graph = graph
-        self.indptr = indptr
-        self.indices = indices
-        self.weights = weights
-        self.degrees = degrees
-        self.weight_sums = weight_sums
-        self.delta = delta
-        self._alias = alias
-        self._node_types = (
-            None
-            if node_type_codes is None or type_names is None
-            else (node_type_codes, tuple(type_names))
-        )
-        self._slot_type_codes = slot_type_codes
-        self._slot_edge_types = (
-            None
-            if slot_edge_type_codes is None or edge_type_names is None
-            else (slot_edge_type_codes, tuple(edge_type_names))
-        )
-        self._edge_keys = edge_keys
-        return self
-
-    def __reduce__(self):
-        """Pickle as a detached rebuild-from-arrays call.
-
-        Deliberately excludes the graph (workers never need it) and the
-        alias tables (cheaper to rebuild or ship via shared memory than to
-        serialize); already-built type columns ride along so a pickled
-        adjacency keeps serving type-aware policies.
-        """
-        payload: dict = {
-            name: getattr(self, name) for name in self.CORE_FIELDS
-        }
-        if self._node_types is not None:
-            payload["node_type_codes"], payload["type_names"] = (
-                self._node_types
-            )
-        if self._slot_type_codes is not None:
-            payload["slot_type_codes"] = self._slot_type_codes
-        if self._slot_edge_types is not None:
-            (
-                payload["slot_edge_type_codes"],
-                payload["edge_type_names"],
-            ) = self._slot_edge_types
-        if self._edge_keys is not None:
-            payload["edge_keys"] = self._edge_keys
-        return (_rebuild_csr, (payload,))
-
-    @property
-    def detached(self) -> bool:
-        """Whether this adjacency carries no graph object."""
-        return self.graph is None
-
-    def _require_graph(self, what: str) -> HeteroGraph:
-        if self.graph is None:
-            raise RuntimeError(
-                f"cannot build {what} on a detached CSRAdjacency; pass the "
-                "column through from_arrays() or rebuild from the graph"
-            )
-        return self.graph
-
-    # ------------------------------------------------------------------
     @property
     def num_nodes(self) -> int:
         return self.degrees.size
@@ -239,7 +128,7 @@ class CSRAdjacency:
     # -- type-indexed column views (lazy) ------------------------------
     def _type_table(self) -> tuple[np.ndarray, tuple[str, ...]]:
         if self._node_types is None:
-            graph = self._require_graph("the node-type table")
+            graph = self.graph
             names = tuple(sorted(graph.node_types))
             code = {name: k for k, name in enumerate(names)}
             codes = np.fromiter(
@@ -278,7 +167,7 @@ class CSRAdjacency:
 
     def _edge_type_table(self) -> tuple[np.ndarray, tuple[str, ...]]:
         if self._slot_edge_types is None:
-            graph = self._require_graph("the edge-type table")
+            graph = self.graph
             names = tuple(sorted(graph.edge_types))
             code = {name: k for k, name in enumerate(names)}
             codes = np.empty(self.indices.size, dtype=np.int64)
@@ -346,9 +235,8 @@ def csr_adjacency(graph: HeteroGraph) -> CSRAdjacency:
     cached = getattr(graph, _CACHE_ATTR, None)
     if (
         cached is not None
-        # identity guard: a cache resurrected by pickling/deepcopy is
-        # detached (graph=None) or points at the original graph — either
-        # way it must not be reused for a different graph object
+        # identity guard: a cache shared with another graph object (a
+        # shallow copy of this one) must not serve it
         and cached.graph is graph
         and cached.num_nodes == graph.num_nodes
         and cached.indices.size == 2 * graph.num_edges
@@ -358,7 +246,3 @@ def csr_adjacency(graph: HeteroGraph) -> CSRAdjacency:
     setattr(graph, _CACHE_ATTR, csr)
     return csr
 
-
-def _rebuild_csr(payload: dict) -> CSRAdjacency:
-    """Unpickle hook of :meth:`CSRAdjacency.__reduce__`."""
-    return CSRAdjacency.from_arrays(**payload)

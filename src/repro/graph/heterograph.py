@@ -288,8 +288,8 @@ class HeteroGraph:
         # never serialize the cached CSRAdjacency (the attribute name is
         # owned by repro.graph.csr, which imports this module): the cache
         # identifies itself by graph identity, which pickling breaks, and
-        # shipping a graph must not drag flattened adjacency/alias arrays
-        # along — workers rebuild or attach via shared memory instead
+        # a saved graph must not drag flattened adjacency/alias arrays
+        # along — the unpickled graph rebuilds them on first use
         state = dict(self.__dict__)
         state.pop("_csr_adjacency_cache", None)
         return state

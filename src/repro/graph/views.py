@@ -133,10 +133,11 @@ def paired_subviews(pair: ViewPair) -> tuple[View, View]:
     common = pair.common_nodes
     subviews = []
     for view in (pair.view_i, pair.view_j):
-        keep = set(common & view.nodes)
-        for node in common:
-            if node in view.nodes:
-                keep.update(view.graph.neighbors(node))
+        # View.nodes builds a fresh frozenset on every access
+        shared = common & view.nodes
+        keep = set(shared)
+        for node in shared:
+            keep.update(view.graph.neighbors(node))
         sub = view.graph.subgraph_of_nodes(keep)
         subviews.append(View(view.edge_type, sub))
     return subviews[0], subviews[1]

@@ -29,39 +29,24 @@ from repro.graph.heterograph import HeteroGraph
 from repro.graph.views import View
 from repro.walks.policies import WalkPolicy, _resolve_graph
 
-from repro.graph.csr import CSRAdjacency, csr_adjacency
+from repro.graph.csr import csr_adjacency
 
 PAD = -1
 """Fill value of walk-matrix slots past a walk's end."""
 
 
 class LockstepWalker:
-    """Executes any :class:`WalkPolicy` over batches of walks in lockstep.
-
-    Besides views/graphs, the engine also mounts directly on a (possibly
-    detached, shared-memory-backed) :class:`CSRAdjacency` — the parallel
-    workers' path, where no graph object exists.  ``is_heter`` only
-    matters for that form (views carry their own flag).
-    """
+    """Executes any :class:`WalkPolicy` over batches of walks in lockstep."""
 
     def __init__(
         self,
-        view_or_graph: View | HeteroGraph | CSRAdjacency,
+        view_or_graph: View | HeteroGraph,
         policy: WalkPolicy,
         rng: np.random.Generator | None = None,
-        is_heter: bool | None = None,
     ) -> None:
-        if isinstance(view_or_graph, CSRAdjacency):
-            self._csr = view_or_graph
-            self.graph = view_or_graph.graph
-            self._is_heter = bool(is_heter) if is_heter is not None else False
-            self.policy = policy.bind_csr(
-                view_or_graph, is_heter=self._is_heter
-            )
-        else:
-            self.graph, self._is_heter = _resolve_graph(view_or_graph)
-            self._csr = csr_adjacency(self.graph)
-            self.policy = policy.bind(view_or_graph)
+        self.graph = _resolve_graph(view_or_graph)[0]
+        self._csr = csr_adjacency(self.graph)
+        self.policy = policy.bind(view_or_graph)
         self.rng = rng or np.random.default_rng()
 
     def _start_state(
@@ -93,8 +78,8 @@ class LockstepWalker:
                 nodes or when the policy reports no admissible
                 transition (``STUCK``), mirroring the scalar walkers.
             rng: draw from this generator instead of the walker's own —
-                the parallel layer threads per-task spawned streams
-                through here so concurrent batches stay deterministic.
+                the ``workers >= 1`` seed law passes one spawned stream
+                per shard through here.
 
         Returns:
             ``(matrix, lengths)`` — the ``(num_walks, length)`` index

@@ -208,9 +208,9 @@ def walk_start_nodes(
     degree-based count policy (or a fixed override), isolated-node
     zeroing, the balancer's ``count_scale`` (keeping >= 1 walk where any
     was due), and the policy's start restriction — and repeats each node
-    index by its final count.  The parallel corpus builder shares this
-    function with the serial path so both build byte-identical start
-    arrays before sharding.
+    index by its final count.  The ``workers >= 1`` corpus builder shares
+    this function with the serial path so both build byte-identical
+    start arrays before sharding.
     """
     degrees = np.asarray(degrees, dtype=np.int64)
     num_nodes = degrees.size

@@ -146,12 +146,6 @@ class WalkPolicy:
 
     name = "policy"
 
-    #: optional CSR columns the policy touches while sampling, beyond the
-    #: six core arrays — the shared-memory layer publishes exactly these
-    #: so workers never rebuild them ("alias", "node_types", "slot_types",
-    #: "edge_keys", "slot_edge_types")
-    required_columns: frozenset[str] = frozenset()
-
     def __init__(self) -> None:
         self.graph: HeteroGraph | None = None
         self.is_heter: bool = False
@@ -161,31 +155,8 @@ class WalkPolicy:
     def bind(self, view_or_graph: View | HeteroGraph) -> "WalkPolicy":
         """Attach the policy to a view/graph; idempotent per graph."""
         graph, is_heter = _resolve_graph(view_or_graph)
-        return self._bind(graph, csr_adjacency(graph), is_heter)
-
-    def bind_csr(
-        self, csr: CSRAdjacency, is_heter: bool = False
-    ) -> "WalkPolicy":
-        """Attach the policy directly to a (possibly detached) adjacency.
-
-        The worker-side binding path of the parallel layer: the CSR
-        arrays may live in shared memory with no graph object behind
-        them.  Policies whose bind-time precomputation needs type
-        information read it from the adjacency's type columns, so a
-        detached CSR must carry them (``CSRAdjacency.from_arrays``).
-        """
-        return self._bind(csr.graph, csr, is_heter)
-
-    def _bind(
-        self,
-        graph: HeteroGraph | None,
-        csr: CSRAdjacency,
-        is_heter: bool,
-    ) -> "WalkPolicy":
         if self._csr is not None:
-            if self._csr is csr or (
-                graph is not None and self.graph is graph
-            ):
+            if self.graph is graph:
                 return self
             raise RuntimeError(
                 f"{self.name!r} policy is already bound to a different "
@@ -193,32 +164,15 @@ class WalkPolicy:
             )
         self.graph = graph
         self.is_heter = bool(is_heter)
-        self._csr = csr
+        self._csr = csr_adjacency(graph)
         self._on_bind()
         return self
 
     def _on_bind(self) -> None:
         """Hook for subclass bind-time precomputation.
 
-        Runs with :attr:`csr` set; :attr:`graph` may be ``None`` (detached
-        worker-side binding), so hooks must read type information from the
-        adjacency's columns, not the graph.
+        Runs with :attr:`graph` and :attr:`csr` set.
         """
-
-    # -- worker dispatch -----------------------------------------------
-    def spec(self) -> dict:
-        """Constructor kwargs rebuilding an equivalent *unbound* policy."""
-        return {}
-
-    def __reduce__(self):
-        """Pickle as an unbound rebuild-from-spec.
-
-        Binding state (graph, CSR arrays, alias tables) never crosses a
-        process boundary — the receiving side re-binds against its own
-        (typically shared-memory) adjacency.  This keeps worker dispatch
-        payloads a few hundred bytes regardless of graph size.
-        """
-        return (_rebuild_policy, (type(self), self.spec()))
 
     @property
     def csr(self) -> CSRAdjacency:
@@ -309,15 +263,11 @@ class BiasedCorrelatedPolicy(WalkPolicy):
     """
 
     name = "biased"
-    required_columns = frozenset({"alias"})
 
     def __init__(self, correlated: bool | None = None) -> None:
         super().__init__()
         self._correlated_arg = correlated
         self.correlated: bool = False
-
-    def spec(self):
-        return {"correlated": self._correlated_arg}
 
     def _on_bind(self):
         self.correlated = (
@@ -400,7 +350,6 @@ class Node2VecPolicy(WalkPolicy):
     """
 
     name = "node2vec"
-    required_columns = frozenset({"alias", "edge_keys"})
 
     def __init__(self, p: float = 1.0, q: float = 1.0) -> None:
         super().__init__()
@@ -408,9 +357,6 @@ class Node2VecPolicy(WalkPolicy):
             raise ValueError(f"p and q must be positive, got p={p}, q={q}")
         self.p = float(p)
         self.q = float(q)
-
-    def spec(self):
-        return {"p": self.p, "q": self.q}
 
     def init_state(self, starts):
         return {"previous": np.full(starts.size, -1, dtype=np.int64)}
@@ -493,9 +439,6 @@ class HetNode2VecPolicy(Node2VecPolicy):
     """
 
     name = "het-node2vec"
-    # first-order steps are padded-cumsum draws (never alias), but the
-    # type factors gather node_type_codes and _pq_factors needs edge_keys
-    required_columns = frozenset({"edge_keys", "node_types"})
 
     def __init__(
         self, p: float = 1.0, q: float = 1.0, type_switch: float = 2.0
@@ -506,9 +449,6 @@ class HetNode2VecPolicy(Node2VecPolicy):
                 f"type_switch must be positive, got {type_switch}"
             )
         self.type_switch = float(type_switch)
-
-    def spec(self):
-        return {"p": self.p, "q": self.q, "type_switch": self.type_switch}
 
     def _switch_factors(
         self, cand: np.ndarray, current: np.ndarray
@@ -584,7 +524,6 @@ class MetapathPolicy(WalkPolicy):
     """
 
     name = "metapath"
-    required_columns = frozenset({"node_types", "slot_types"})
 
     def __init__(self, metapath: list[str] | None = None) -> None:
         super().__init__()
@@ -592,9 +531,6 @@ class MetapathPolicy(WalkPolicy):
             None if metapath is None else _validate_metapath(metapath)
         )
         self._body_codes: np.ndarray | None = None
-
-    def spec(self):
-        return {"metapath": self.metapath}
 
     def _on_bind(self):
         csr = self.csr
@@ -675,7 +611,6 @@ class SpaceyMetapathPolicy(WalkPolicy):
     """
 
     name = "spacey"
-    required_columns = frozenset({"node_types", "slot_types"})
 
     def __init__(
         self,
@@ -692,12 +627,6 @@ class SpaceyMetapathPolicy(WalkPolicy):
         )
         self.reinforcement = float(reinforcement)
         self._successors: np.ndarray | None = None  # (T, T) admissibility
-
-    def spec(self):
-        return {
-            "metapath": self.metapath,
-            "reinforcement": self.reinforcement,
-        }
 
     def _on_bind(self):
         csr = self.csr
@@ -766,12 +695,6 @@ class SpaceyMetapathPolicy(WalkPolicy):
             occupancy = np.zeros((1, len(csr.type_names)))
         factors = self._occupancy_factors(occupancy, types[None, :])[0]
         return np.where(admissible, weights * factors, 0.0)
-
-
-def _rebuild_policy(cls: type, kwargs: dict) -> WalkPolicy:
-    """Unpickle hook of :meth:`WalkPolicy.__reduce__`: a fresh unbound
-    instance from the class and its :meth:`~WalkPolicy.spec` kwargs."""
-    return cls(**kwargs)
 
 
 # ----------------------------------------------------------------------

@@ -30,13 +30,19 @@ Not re-pinned when the closed-form translator kernel replaced the tape in
 the cross-view step: it reproduces the tape's arithmetic to ~1e-12 in
 float64 (``tests/core/test_translator_kernel.py``), inside the goldens'
 1e-7 tolerance.
+
+The ``workers=2`` goldens (:class:`TestWorkersSeedLaw`) were produced
+while shards were walked in a process pool and view-disjoint cross-view
+pairs trained on threads; the in-process runtime reproduces them.  Their
+four-view AMiner graph has the pair waves ``[[0, 3], [1], [2]]``, so
+they also pin that pairs run in wave order, not trainer order.
 """
 
 import numpy as np
 import pytest
 
 from repro.core import TransN, TransNConfig
-from repro.datasets import two_view_toy
+from repro.datasets import AMinerConfig, make_aminer, two_view_toy
 
 _CONFIG = dict(
     dim=8,
@@ -94,3 +100,61 @@ class TestSeedDeterminism:
             )
         total = sum(float(np.sum(vec)) for vec in emb.values())
         assert total == pytest.approx(_GOLDEN_TOTAL_SUM, abs=1e-7)
+
+
+# workers=2 on a four-view AMiner graph: the first four coordinates of
+# three nodes and the sum over every embedding, per configuration
+_WORKERS_GOLDEN = {
+    "unbudgeted": (
+        {},
+        {
+            "a0": [0.08834466748497583, 0.44898208045076665,
+                   -0.1662604795370528, -0.03667447356493451],
+            "a1": [0.09526124441654495, 0.3429473341334815,
+                   -0.22032644182027838, 0.08199911059298776],
+            "a2": [0.12990770672862179, 0.5331641703470087,
+                   -0.2097077255733617, 0.15428122467899644],
+        },
+        35.38061166996426,
+        1e-9,
+    ),
+    # multi-block corpus draws and micro-batched cross-view steps
+    "budgeted_float32": (
+        {"corpus_budget_mb": 0.02, "dtype": "float32"},
+        {
+            "a0": [0.11288724839687347, 0.2731618285179138,
+                   -0.09787274897098541, -0.1206943616271019],
+            "a1": [0.12401944398880005, 0.2500923275947571,
+                   -0.11284176260232925, -0.05658984184265137],
+            "a2": [0.18594177067279816, 0.3925132751464844,
+                   -0.13333725929260254, 0.015360822901129723],
+        },
+        28.26908766082488,
+        1e-6,
+    ),
+}
+
+
+class TestWorkersSeedLaw:
+    @pytest.mark.parametrize("name", sorted(_WORKERS_GOLDEN))
+    def test_golden_values(self, name):
+        overrides, leading, total, atol = _WORKERS_GOLDEN[name]
+        graph, _ = make_aminer(
+            AMinerConfig(
+                seed=0, num_authors=30, num_papers=36, num_venues=4,
+                num_institutions=4,
+            )
+        )
+        model = TransN(
+            graph, TransNConfig(**_CONFIG, workers=2, **overrides)
+        )
+        model.fit()
+        emb = model.embeddings()
+        for node, expected in leading.items():
+            np.testing.assert_allclose(
+                emb[node][:4], expected, rtol=0, atol=atol
+            )
+        stacked = np.vstack([emb[node] for node in graph.nodes])
+        assert float(stacked.astype(np.float64).sum()) == pytest.approx(
+            total, abs=atol * stacked.size
+        )

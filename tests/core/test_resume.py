@@ -109,9 +109,10 @@ class TestResumeEquivalence:
         assert resumed.history.single_view == straight.history.single_view
 
     def test_dense_path_checkpoint_resumes(self, graph, tmp_path):
-        """A checkpoint in the layout of the removed dense path — its
-        config fields, ``stream_corpus=False``, pipeline states without
-        a freeze flag — resumes to the straight run's bytes."""
+        """A checkpoint in the layout of older releases — the removed
+        dense path's config fields and ``stream_corpus=False``, the
+        removed ``shard_timeout`` field, pipeline states without a
+        freeze flag — resumes to the straight run's bytes."""
         from repro.engine import CheckpointManager
 
         straight = TransN(graph, _config())
@@ -126,6 +127,7 @@ class TestResumeEquivalence:
             prefetch=None,
             simple_walk=False,
             batched_cross_view=True,
+            shard_timeout=None,
         )
         for view_state in model_state["single_view"].values():
             del view_state["pipeline"]["noise_frozen"]

@@ -9,21 +9,16 @@ step split into micro-batches must agree with the one-shot step to the
 same tolerance, and full fits through kernel and tape must agree too.
 """
 
-import sys
-import threading
-import time
-from contextlib import nullcontext
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import TransN, TransNConfig, cross_view
+from repro.core import TransN, TransNConfig
 from repro.core.cross_view import CrossViewTrainer
 from repro.core.translator import make_translator
 from repro.core.translator_kernel import direction_step, kernel_layers
-from repro.datasets import AMinerConfig, make_aminer, two_view_toy
+from repro.datasets import two_view_toy
 from repro.engine.observability import MetricsRegistry
 from repro.graph import build_view_pairs, separate_views
 
@@ -235,60 +230,3 @@ class TestTapeEquivalence:
         for name in names:
             values = metrics.series_values(name)
             assert values and all(v > 0 for v in values)
-
-
-class TestStepLock:
-    def test_budgeted_model_shares_one_lock(self):
-        graph, _ = make_aminer(
-            AMinerConfig(
-                seed=0, num_authors=30, num_papers=36, num_venues=4,
-                num_institutions=4,
-            )
-        )
-        budgeted = TransN(
-            graph,
-            TransNConfig(dim=8, stream_corpus=True, corpus_budget_mb=1.0),
-        )
-        locks = {id(t._step_lock) for t in budgeted.cross_trainers}
-        assert len(budgeted.cross_trainers) > 1 and len(locks) == 1
-        free = TransN(graph, TransNConfig(dim=8))
-        assert all(
-            isinstance(t._step_lock, nullcontext) for t in free.cross_trainers
-        )
-
-    @pytest.mark.parametrize("shared", [True, False])
-    def test_shared_lock_serializes_steps(self, toy_pair, monkeypatch, shared):
-        active = []
-        peak = [0]
-        real_step = cross_view.direction_step
-
-        def tracked(*args, **kwargs):
-            active.append(1)
-            peak[0] = max(peak[0], len(active))
-            time.sleep(0.002)  # widen the window two threads could share
-            try:
-                return real_step(*args, **kwargs)
-            finally:
-                active.pop()
-
-        monkeypatch.setattr(cross_view, "direction_step", tracked)
-        lock = threading.Lock() if shared else None
-        trainers = [
-            _trainer(toy_pair, seed=s, step_lock=lock) for s in (5, 6)
-        ]
-        for trainer in trainers:
-            trainer.micro_batch_chunks = 2
-        threads = [
-            threading.Thread(target=trainer.train_epoch) for trainer in trainers
-        ]
-        switch = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(switch)
-        assert not any(thread.is_alive() for thread in threads)
-        assert peak[0] == (1 if shared else 2)

@@ -3,14 +3,13 @@
 Two layers under test.  The :class:`FaultInjector` itself must be
 deterministic bookkeeping — exact invocation counts, seeded per-point
 RNGs, scoped activation.  And the runtime it attacks must *survive* every
-armed fault with bit-identical output: a SIGKILLed pool worker, a hung
-shard tripping the watchdog, an in-worker exception, a full disk under
-the checkpointer, and (end-to-end) a chaos model fit that must match the
-fault-free fit array-for-array.
+armed fault with bit-identical output: a full disk under the
+checkpointer, and (end-to-end) chaos model fits — a bit-rotted spill, a
+failed checkpoint save, a full disk while recording — that must match
+the fault-free fit array-for-array.
 """
 
 import errno
-import os
 
 import numpy as np
 import pytest
@@ -24,11 +23,8 @@ from repro.engine import (
     TrainingLoop,
 )
 from repro.engine import faults
-from repro.engine.faults import FaultInjected, FaultInjector, scoped
+from repro.engine.faults import FaultInjector, scoped
 from repro.engine.observability import MetricsRegistry
-from repro.engine.parallel import ParallelRuntime, single_view_seed
-from repro.graph import separate_views
-from repro.walks import BiasedCorrelatedPolicy
 
 _CONFIG = dict(
     dim=8,
@@ -44,39 +40,16 @@ _CONFIG = dict(
 )
 
 
-@pytest.fixture(scope="module")
-def toy_view():
-    graph, _ = two_view_toy()
-    return separate_views(graph)[0]
-
-
-@pytest.fixture(scope="module")
-def expected_corpus(toy_view):
-    """The fault-free corpus every chaos build must reproduce exactly."""
-    seed = single_view_seed(7, 0, 3)
-    with ParallelRuntime(2) as healthy:
-        return healthy.build_corpus(
-            toy_view, BiasedCorrelatedPolicy(), length=8, seed_seq=seed
-        )
-
-
-def _chaos_build(toy_view, runtime):
-    seed = single_view_seed(7, 0, 3)
-    return runtime.build_corpus(
-        toy_view, BiasedCorrelatedPolicy(), length=8, seed_seq=seed
-    )
-
-
 # ----------------------------------------------------------------------
 # the injector itself
 # ----------------------------------------------------------------------
 class TestInjector:
     def test_fires_exact_count(self):
-        injector = FaultInjector().arm("worker.exception", times=2)
-        assert injector.should_fire("worker.exception")
-        assert injector.should_fire("worker.exception")
-        assert not injector.should_fire("worker.exception")
-        assert injector.fired["worker.exception"] == 2
+        injector = FaultInjector().arm("checkpoint.write_error", times=2)
+        assert injector.should_fire("checkpoint.write_error")
+        assert injector.should_fire("checkpoint.write_error")
+        assert not injector.should_fire("checkpoint.write_error")
+        assert injector.fired["checkpoint.write_error"] == 2
         assert injector.armed_points() == []
 
     def test_skip_lets_early_invocations_through(self):
@@ -87,34 +60,42 @@ class TestInjector:
 
     def test_unarmed_point_never_fires(self):
         injector = FaultInjector()
-        assert not injector.should_fire("worker.crash")
+        assert not injector.should_fire("spill.bitflip")
         assert injector.fired == {}
 
     def test_unknown_point_rejected(self):
         injector = FaultInjector()
-        with pytest.raises(ValueError, match="unknown fault point"):
-            injector.arm("worker.bogus")
-        with pytest.raises(ValueError, match="unknown fault point"):
-            injector.should_fire("worker.bogus")
+        # a stale `--chaos worker.crash` must fail with the known points
+        for point in ("worker.bogus", "worker.crash"):
+            with pytest.raises(ValueError, match="unknown fault point"):
+                injector.arm(point)
+            with pytest.raises(ValueError, match="unknown fault point"):
+                injector.should_fire(point)
+            with pytest.raises(ValueError, match="unknown fault point"):
+                FaultInjector.from_spec(point)
 
     def test_arm_validates_counts(self):
         with pytest.raises(ValueError, match="times"):
-            FaultInjector().arm("worker.crash", times=0)
+            FaultInjector().arm("spill.bitflip", times=0)
         with pytest.raises(ValueError, match="skip"):
-            FaultInjector().arm("worker.crash", skip=-1)
+            FaultInjector().arm("spill.bitflip", skip=-1)
 
     def test_from_spec(self):
-        injector = FaultInjector.from_spec("worker.crash, spill.bitflip:2")
-        assert injector.armed_points() == ["spill.bitflip", "worker.crash"]
+        injector = FaultInjector.from_spec(
+            "checkpoint.write_error, spill.bitflip:2"
+        )
+        assert injector.armed_points() == [
+            "checkpoint.write_error", "spill.bitflip",
+        ]
         assert injector.should_fire("spill.bitflip")
         assert injector.should_fire("spill.bitflip")
         assert not injector.should_fire("spill.bitflip")
 
     def test_from_spec_bad_entry(self):
         with pytest.raises(ValueError, match="point\\[:times\\]"):
-            FaultInjector.from_spec("worker.crash:lots")
+            FaultInjector.from_spec("spill.bitflip:lots")
         with pytest.raises(ValueError, match="unknown fault point"):
-            FaultInjector.from_spec("worker.sulk")
+            FaultInjector.from_spec("spill.sulk")
 
     def test_from_spec_empty(self):
         with pytest.raises(ValueError, match="arms no fault points"):
@@ -130,7 +111,7 @@ class TestInjector:
     def test_rng_is_seeded_and_per_point(self):
         a = FaultInjector(seed=11).rng("spill.bitflip").integers(1 << 30)
         b = FaultInjector(seed=11).rng("spill.bitflip").integers(1 << 30)
-        c = FaultInjector(seed=11).rng("worker.crash").integers(1 << 30)
+        c = FaultInjector(seed=11).rng("spill.write_enospc").integers(1 << 30)
         d = FaultInjector(seed=12).rng("spill.bitflip").integers(1 << 30)
         assert a == b
         assert a != c
@@ -148,89 +129,13 @@ class TestInjector:
 
     def test_metrics_binding(self):
         metrics = MetricsRegistry()
-        injector = FaultInjector().arm("worker.exception")
+        injector = FaultInjector().arm("checkpoint.write_error")
         injector.bind_metrics(metrics)
-        assert injector.should_fire("worker.exception")
-        assert metrics.counters["faults/injected/worker.exception"] == 1.0
+        assert injector.should_fire("checkpoint.write_error")
+        assert metrics.counters["faults/injected/checkpoint.write_error"] == 1.0
         kinds = [event["kind"] for event in metrics.events]
         assert "faults/armed" in kinds
         assert "faults/injected" in kinds
-
-
-# ----------------------------------------------------------------------
-# pool chaos: every worker fault must leave the corpus bit-identical
-# ----------------------------------------------------------------------
-class TestWorkerFaults:
-    def test_sigkilled_worker_bit_identical(self, toy_view, expected_corpus):
-        metrics = MetricsRegistry()
-        injector = FaultInjector(seed=7).arm("worker.crash")
-        injector.bind_metrics(metrics)
-        with scoped(injector):
-            with ParallelRuntime(
-                2, metrics=metrics, relaunch_backoff=0.0
-            ) as rt:
-                corpus = _chaos_build(toy_view, rt)
-                assert injector.fired["worker.crash"] == 1
-                assert rt.pool_failures == 1  # SIGKILL broke the pool
-                assert not rt.pool_broken  # budget left: not demoted
-        np.testing.assert_array_equal(corpus.matrix, expected_corpus.matrix)
-        np.testing.assert_array_equal(corpus.lengths, expected_corpus.lengths)
-        assert metrics.counters["faults/injected/worker.crash"] == 1.0
-        kinds = [event["kind"] for event in metrics.events]
-        assert "parallel/pool_lost" in kinds
-
-    def test_worker_exception_retries_that_shard(
-        self, toy_view, expected_corpus
-    ):
-        metrics = MetricsRegistry()
-        injector = FaultInjector(seed=7).arm("worker.exception")
-        with scoped(injector):
-            with ParallelRuntime(2, metrics=metrics) as rt:
-                corpus = _chaos_build(toy_view, rt)
-                # the pool survives: only the poisoned shard replays
-                assert rt.pool_failures == 0
-                assert rt._pool is not None
-        np.testing.assert_array_equal(corpus.matrix, expected_corpus.matrix)
-        np.testing.assert_array_equal(corpus.lengths, expected_corpus.lengths)
-        assert metrics.counters["parallel/shard_retry"] == 1.0
-
-    def test_hung_worker_trips_watchdog(self, toy_view, expected_corpus):
-        metrics = MetricsRegistry()
-        injector = FaultInjector(seed=7, hang_seconds=120.0).arm("worker.hang")
-        with scoped(injector):
-            with ParallelRuntime(
-                2,
-                metrics=metrics,
-                shard_timeout=0.5,
-                relaunch_backoff=0.0,
-            ) as rt:
-                corpus = _chaos_build(toy_view, rt)
-                assert rt.pool_failures == 1  # hung pool was killed
-        np.testing.assert_array_equal(corpus.matrix, expected_corpus.matrix)
-        np.testing.assert_array_equal(corpus.lengths, expected_corpus.lengths)
-        assert metrics.counters["parallel/shard_timeout"] == 1.0
-
-    def test_exhausted_relaunch_budget_demotes(self, toy_view, expected_corpus):
-        metrics = MetricsRegistry()
-        injector = FaultInjector(seed=7).arm("worker.crash")
-        with scoped(injector):
-            with ParallelRuntime(
-                2,
-                metrics=metrics,
-                max_pool_relaunches=1,
-                relaunch_backoff=0.0,
-            ) as rt:
-                first = _chaos_build(toy_view, rt)  # loss 1: budget left
-                assert not rt.pool_broken
-                injector.arm("worker.crash")  # crash the relaunched pool too
-                second = _chaos_build(toy_view, rt)  # loss 2: demoted
-                assert rt.pool_broken
-                third = _chaos_build(toy_view, rt)  # in-process, quiet
-        for corpus in (first, second, third):
-            np.testing.assert_array_equal(
-                corpus.matrix, expected_corpus.matrix
-            )
-        assert metrics.counters["parallel/fallback"] == 1.0
 
 
 # ----------------------------------------------------------------------
@@ -281,31 +186,34 @@ class TestCheckpointWriteError:
 # ----------------------------------------------------------------------
 # end to end: a chaos fit must equal the fault-free fit bit for bit
 # ----------------------------------------------------------------------
-def _fit(spill_dir=None, **overrides):
+def _fit(spill_dir=None, checkpoint=None, **overrides):
     graph, _ = two_view_toy()
     config = dict(_CONFIG, workers=1, **overrides)
     if spill_dir is not None:
         config.update(stream_corpus=True, spill_dir=str(spill_dir))
     model = TransN(graph, TransNConfig(**config))
-    model.fit()
-    emb = model.embeddings()
-    if model._parallel is not None:
-        model._parallel.shutdown()
-    return emb
+    model.fit(checkpoint=checkpoint)
+    return model.embeddings()
 
 
 class TestModelChaos:
     def test_chaos_fit_matches_clean_fit(self, tmp_path):
-        clean = _fit(spill_dir=tmp_path / "clean")
+        clean = _fit(
+            spill_dir=tmp_path / "clean", checkpoint=tmp_path / "clean-ck"
+        )
         injector = (
             FaultInjector(seed=7)
-            .arm("worker.crash")
             .arm("spill.bitflip")
+            .arm("checkpoint.write_error")
         )
         with scoped(injector):
-            chaotic = _fit(spill_dir=tmp_path / "chaos")
-        assert injector.fired["worker.crash"] == 1
+            with pytest.warns(RuntimeWarning, match="checkpoint save"):
+                chaotic = _fit(
+                    spill_dir=tmp_path / "chaos",
+                    checkpoint=tmp_path / "chaos-ck",
+                )
         assert injector.fired["spill.bitflip"] == 1
+        assert injector.fired["checkpoint.write_error"] == 1
         assert set(clean) == set(chaotic)
         for node in clean:
             np.testing.assert_array_equal(clean[node], chaotic[node])
@@ -324,12 +232,3 @@ class TestModelChaos:
         with scoped(injector):
             with pytest.raises(OSError):
                 _fit(spill_dir=tmp_path / "chaos", on_spill_error="raise")
-
-    def test_worker_exception_fit_matches_clean_fit(self):
-        clean = _fit()
-        injector = FaultInjector(seed=7).arm("worker.exception")
-        with scoped(injector):
-            chaotic = _fit()
-        assert injector.fired["worker.exception"] == 1
-        for node in clean:
-            np.testing.assert_array_equal(clean[node], chaotic[node])

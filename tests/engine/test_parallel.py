@@ -1,22 +1,16 @@
-"""Parallel-runtime tests: shared-memory CSR, determinism, fallback,
-wave scheduling, and the cheap-pickle contract.
+"""Tests of the ``workers >= 1`` seed law: seed streams, wave order,
+sharded corpus builds, and model fits.
 
 The central claims under test:
 
-* a worker's view of the graph (attached over shared memory) is
-  byte-equal to the owner's;
 * ``workers=N`` is deterministic for fixed ``N`` — repeated builds and
-  full model fits reproduce bit-identically — and the pool and the
-  in-process crash fallback produce the same corpus;
-* the parallel sampler draws from the same walk law as the serial
+  full model fits reproduce bit-identically (the golden values live in
+  ``tests/core/test_determinism.py``);
+* the sharded sampler draws from the same walk law as the serial
   engine (chi-square goodness of fit against the policy's exact
   ``slot_probs``);
-* policies and adjacencies cross the process boundary as small
-  rebuild-from-spec pickles, never dragging the graph along.
+* cross-view pairs run in :func:`conflict_waves` order.
 """
-
-import os
-import pickle
 
 import numpy as np
 import pytest
@@ -25,23 +19,13 @@ from repro.datasets import two_view_toy
 from repro.core import TransN, TransNConfig
 from repro.engine.observability import MetricsRegistry
 from repro.engine.parallel import (
-    _ATTACHED,
     ParallelRuntime,
-    SharedCSR,
-    attach_shared_csr,
     conflict_waves,
     pair_rng,
     single_view_seed,
 )
 from repro.graph import separate_views
-from repro.graph.csr import CSRAdjacency, csr_adjacency
-from repro.walks import (
-    BiasedCorrelatedPolicy,
-    MetapathPolicy,
-    Node2VecPolicy,
-    UniformPolicy,
-    build_corpus,
-)
+from repro.walks import BiasedCorrelatedPolicy, UniformPolicy, build_corpus
 from tests.walks.test_policies import _assert_chi_square, _node_law
 
 _CONFIG = dict(
@@ -72,18 +56,14 @@ def toy_view(toy_graph):
 @pytest.fixture(scope="module")
 def runtime():
     """One two-worker runtime shared by the read-only corpus tests."""
-    with ParallelRuntime(2) as rt:
-        yield rt
+    return ParallelRuntime(2)
 
 
 def _fit(workers=0, **overrides):
     graph, _ = two_view_toy()
     model = TransN(graph, TransNConfig(**{**_CONFIG, **overrides}, workers=workers))
     model.fit()
-    emb = model.embeddings()
-    if model._parallel is not None:
-        model._parallel.shutdown()
-    return emb
+    return model.embeddings()
 
 
 # ----------------------------------------------------------------------
@@ -128,112 +108,42 @@ class TestConflictWaves:
     def test_empty(self):
         assert conflict_waves([]) == []
 
+    def test_train_pairs_runs_in_wave_order(self):
+        """Pair 2 fits pair 0's wave, so it trains before pair 1."""
 
-# ----------------------------------------------------------------------
-# shared-memory publication / attachment
-# ----------------------------------------------------------------------
-class TestSharedCSR:
-    def test_attach_equivalence(self, toy_view):
-        """An attached adjacency is byte-equal to the published one."""
-        csr = csr_adjacency(toy_view.graph)
-        shared = SharedCSR(
-            csr, columns=frozenset({"alias", "node_types"}), is_heter=False
+        class Trainer:
+            def __init__(self, key):
+                self.pair = type("Pair", (), {"key": key})()
+
+            def train_epoch(self, rng):
+                ran.append(self.pair.key)
+                return int(rng.integers(1 << 30))
+
+        ran = []
+        keys = [("a", "b"), ("b", "c"), ("c", "d"), ("a", "c")]
+        metrics = MetricsRegistry()
+        results = ParallelRuntime(2, metrics=metrics).train_pairs(
+            [Trainer(key) for key in keys],
+            [pair_rng(7, k, 0) for k in range(len(keys))],
         )
-        try:
-            # unregister=False: this process owns the registrations
-            attached = attach_shared_csr(shared.spec, unregister=False)
-            for name in CSRAdjacency.CORE_FIELDS:
-                np.testing.assert_array_equal(
-                    getattr(attached, name), getattr(csr, name)
-                )
-            for mine, theirs in zip(
-                attached.alias_tables(), csr.alias_tables()
-            ):
-                np.testing.assert_array_equal(mine, theirs)
-            np.testing.assert_array_equal(
-                attached.node_type_codes, csr.node_type_codes
-            )
-            assert attached.detached
-            assert not attached.indices.flags.writeable
-        finally:
-            _ATTACHED.pop(shared.spec.token, None)
-            shared.close()
-
-    def test_attach_is_cached_per_token(self, toy_view):
-        csr = csr_adjacency(toy_view.graph)
-        shared = SharedCSR(csr)
-        try:
-            first = attach_shared_csr(shared.spec, unregister=False)
-            assert attach_shared_csr(shared.spec, unregister=False) is first
-        finally:
-            _ATTACHED.pop(shared.spec.token, None)
-            shared.close()
-
-    def test_unknown_column_rejected(self, toy_view):
-        with pytest.raises(ValueError, match="unknown CSR columns"):
-            SharedCSR(csr_adjacency(toy_view.graph), columns=frozenset({"bogus"}))
-
-    def test_close_is_idempotent(self, toy_view):
-        shared = SharedCSR(csr_adjacency(toy_view.graph))
-        assert shared.nbytes > 0
-        shared.close()
-        shared.close()
-        assert shared.nbytes == 0
-
-    def test_spec_pickles_small(self, toy_view):
-        shared = SharedCSR(csr_adjacency(toy_view.graph), columns=frozenset({"alias"}))
-        try:
-            payload = pickle.dumps(shared.spec)
-            assert len(payload) < 2048
-            clone = pickle.loads(payload)
-            assert clone == shared.spec
-        finally:
-            shared.close()
-
-
-# ----------------------------------------------------------------------
-# cheap pickling of adjacencies and policies
-# ----------------------------------------------------------------------
-class TestCheapPickles:
-    def test_policy_pickles_are_spec_sized(self, toy_graph):
-        policies = [
-            UniformPolicy(),
-            BiasedCorrelatedPolicy(),
-            Node2VecPolicy(p=0.5, q=2.0),
-            MetapathPolicy(metapath=["item", "tag", "item"]),
+        assert ran == [keys[0], keys[2], keys[1], keys[3]]
+        assert results == [
+            int(pair_rng(7, k, 0).integers(1 << 30)) for k in range(4)
         ]
-        for policy in policies:
-            # the parallel layer pickles *bound* policies — binding must
-            # not drag the graph into the payload
-            bound = policy.bind(toy_graph)
-            payload = pickle.dumps(bound)
-            # a rebuild-from-spec pickle, not a captured graph
-            assert len(payload) < 1024, type(policy).__name__
-            clone = pickle.loads(payload)
-            assert type(clone) is type(policy)
-            assert clone.spec() == policy.spec()
+        assert metrics.gauges["parallel/cross_view/waves"] == 3.0
+        assert metrics.gauges["parallel/workers"] == 2.0
 
-    def test_csr_pickle_excludes_graph_and_alias(self, toy_graph):
-        csr = csr_adjacency(toy_graph)
-        csr.alias_tables()  # built — and deliberately not serialized
-        clone = pickle.loads(pickle.dumps(csr))
-        assert clone.detached
-        assert clone._alias is None
-        np.testing.assert_array_equal(clone.indices, csr.indices)
-        np.testing.assert_array_equal(clone.weights, csr.weights)
+    def test_train_pairs_needs_one_rng_per_trainer(self):
+        with pytest.raises(ValueError, match="rngs"):
+            ParallelRuntime(1).train_pairs([], [pair_rng(7, 0, 0)])
 
-    def test_csr_pickle_is_array_sized(self, toy_graph):
-        csr = csr_adjacency(toy_graph)
-        payload = pickle.dumps(csr)
-        core = sum(
-            getattr(csr, name).nbytes for name in CSRAdjacency.CORE_FIELDS
-        )
-        # flat arrays plus bounded per-field overhead — no node dicts
-        assert len(payload) < core + 4096
+    def test_workers_must_be_positive(self):
+        with pytest.raises(ValueError, match="workers"):
+            ParallelRuntime(0)
 
 
 # ----------------------------------------------------------------------
-# parallel corpus builds
+# sharded corpus builds
 # ----------------------------------------------------------------------
 class TestBuildCorpus:
     def test_fixed_worker_count_is_deterministic(self, runtime, toy_view):
@@ -349,78 +259,6 @@ class TestBuildCorpus:
         np.testing.assert_array_equal(
             np.sort(parallel.matrix[:, 0]), np.sort(serial.matrix[:, 0])
         )
-
-
-class TestFallback:
-    def test_broken_pool_replays_bit_identically(self, toy_view):
-        seed = single_view_seed(7, 0, 3)
-        with ParallelRuntime(2) as healthy:
-            expected = healthy.build_corpus(
-                toy_view, BiasedCorrelatedPolicy(), length=8, seed_seq=seed
-            )
-        metrics = MetricsRegistry()
-        # a zero relaunch budget makes the first pool loss demote on
-        # the spot — the pre-relaunch sticky-fallback behavior
-        with ParallelRuntime(
-            2, metrics=metrics, max_pool_relaunches=0
-        ) as rt:
-            # kill the workers for real; the next submit must break
-            with pytest.raises(Exception):
-                rt._pool.submit(os._exit, 1).result()
-            corpus = rt.build_corpus(
-                toy_view, BiasedCorrelatedPolicy(), length=8, seed_seq=seed
-            )
-            assert rt.pool_broken
-            np.testing.assert_array_equal(corpus.matrix, expected.matrix)
-            np.testing.assert_array_equal(corpus.lengths, expected.lengths)
-            # demotion is sticky and quiet: later builds skip the pool
-            again = rt.build_corpus(
-                toy_view, BiasedCorrelatedPolicy(), length=8, seed_seq=seed
-            )
-            np.testing.assert_array_equal(again.matrix, expected.matrix)
-        assert metrics.counters["parallel/fallback"] == 1.0
-        kinds = [event["kind"] for event in metrics.events]
-        assert "parallel/fallback" in kinds
-        assert "parallel/pool_lost" in kinds
-
-    def test_pool_relaunch_within_budget(self, toy_view):
-        seed = single_view_seed(7, 0, 3)
-        with ParallelRuntime(2) as healthy:
-            expected = healthy.build_corpus(
-                toy_view, BiasedCorrelatedPolicy(), length=8, seed_seq=seed
-            )
-        metrics = MetricsRegistry()
-        with ParallelRuntime(
-            2, metrics=metrics, relaunch_backoff=0.0
-        ) as rt:
-            with pytest.raises(Exception):
-                rt._pool.submit(os._exit, 1).result()
-            corpus = rt.build_corpus(  # loss detected; replays in-process
-                toy_view, BiasedCorrelatedPolicy(), length=8, seed_seq=seed
-            )
-            np.testing.assert_array_equal(corpus.matrix, expected.matrix)
-            assert not rt.pool_broken  # budget (default 2) not spent
-            assert rt.pool_failures == 1
-            again = rt.build_corpus(  # relaunches and uses the new pool
-                toy_view, BiasedCorrelatedPolicy(), length=8, seed_seq=seed
-            )
-            np.testing.assert_array_equal(again.matrix, expected.matrix)
-            assert rt._pool is not None
-        assert metrics.counters["parallel/pool_relaunch"] == 1.0
-
-    def test_shutdown_is_idempotent_after_pool_loss(self, toy_view):
-        rt = ParallelRuntime(2, max_pool_relaunches=0)
-        seed = single_view_seed(7, 0, 3)
-        with pytest.raises(Exception):
-            rt._pool.submit(os._exit, 1).result()
-        rt.build_corpus(
-            toy_view, BiasedCorrelatedPolicy(), length=8, seed_seq=seed
-        )
-        assert rt.pool_broken
-        rt.shutdown()
-        assert rt._shared == {}
-        rt.shutdown()  # second call is a no-op
-        rt.close()  # alias too
 
 
 # ----------------------------------------------------------------------

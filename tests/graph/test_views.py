@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.graph import (
     HeteroGraph,
+    View,
     build_view_pairs,
     paired_subviews,
     separate_views,
@@ -109,6 +110,24 @@ class TestPairedSubviews:
             ):
                 assert sub.nodes <= parent.nodes
                 assert sub.num_edges <= parent.num_edges
+
+    def test_view_node_set_built_once_per_view(self, academic, monkeypatch):
+        """``View.nodes`` copies the node set on every access; evaluating
+        it once per common node made the reduction quadratic."""
+        calls = []
+        real = View.nodes.fget
+
+        def counted(view):
+            calls.append(view.edge_type)
+            return real(view)
+
+        monkeypatch.setattr(View, "nodes", property(counted))
+        for pair in build_view_pairs(separate_views(academic)):
+            assert len(pair.common_nodes) > 1
+            calls.clear()
+            paired_subviews(pair)
+            for view in (pair.view_i, pair.view_j):
+                assert calls.count(view.edge_type) <= 1
 
 
 @st.composite
