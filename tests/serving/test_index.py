@@ -1,4 +1,4 @@
-"""Recall goldens and determinism for the top-k indexes.
+"""Recall goldens, determinism and byte oracles for the top-k indexes.
 
 Brute force is pinned against a direct numpy computation (it is the
 correctness reference everything else is judged by); the IVF index must
@@ -6,7 +6,9 @@ hit recall@10 >= 0.9 on fixture embeddings at fixed seeds, be
 deterministic for a fixed (seed, nprobe), recover exactness at
 nprobe == nlist, and have recall non-decreasing in nprobe — the last
 two follow from nested candidate sets, which is exactly what the test
-pins so a refactor cannot silently break the nesting.
+pins so a refactor cannot silently break the nesting.  Its search must
+also return the same bytes as :class:`OracleIVFIndex`, the plain
+per-query gather-and-rank form.
 """
 
 import numpy as np
@@ -20,6 +22,79 @@ from repro.serving.index import (
     recall_at_k,
 )
 from tests.ml.test_kmeans import OracleKMeans
+
+
+def _oracle_top_k(scores, k):
+    """Per-row top-k of a 2-D score matrix, ties on the lower column."""
+    n = scores.shape[1]
+    k = min(k, n)
+    if k < n:
+        candidates = np.argpartition(scores, n - k, axis=1)[:, n - k :]
+    else:
+        candidates = np.broadcast_to(
+            np.arange(n), scores.shape
+        ).copy()
+    picked = np.take_along_axis(scores, candidates, axis=1)
+    order = np.lexsort(
+        (candidates, -picked), axis=1
+    )
+    top_idx = np.take_along_axis(candidates, order, axis=1)
+    top_scores = np.take_along_axis(picked, order, axis=1)
+    return top_idx, top_scores
+
+
+class OracleIVFIndex(IVFIndex):
+    """The reference IVF search: per query, a fancy-index gather of the
+    probed cells' rows from a row-ordered matrix, one GEMV, and a 2-D
+    top-k.  :meth:`IVFIndex.search` must match it byte for byte."""
+
+    def __init__(self, matrix, **kwargs):
+        super().__init__(matrix, **kwargs)
+        # the prepared rows in row order, whatever layout the index keeps
+        self._rows = index_module._prepare(matrix, self.metric)
+
+    def search(self, queries, k, nprobe=None):
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        nprobe = self.nprobe if nprobe is None else int(nprobe)
+        if nprobe < 1:
+            raise ValueError(f"nprobe must be >= 1, got {nprobe}")
+        nprobe = min(nprobe, self.nlist)
+        queries = index_module._as_queries(queries, self.dim, self.metric)
+        k = min(k, self.num_rows)
+
+        cell_rank = np.argsort(
+            self._cent_sq - 2.0 * (queries @ self.centroids.T),
+            kind="stable",
+            axis=1,
+        )
+
+        num_queries = queries.shape[0]
+        out_idx = np.empty((num_queries, k), dtype=np.int64)
+        out_scores = np.empty((num_queries, k), dtype=self._rows.dtype)
+        for qi in range(num_queries):
+            probes = nprobe
+            while True:
+                cells = cell_rank[qi, :probes]
+                candidates = np.concatenate(
+                    [
+                        self._order[
+                            self._cell_starts[c] : self._cell_ends[c]
+                        ]
+                        for c in cells
+                    ]
+                )
+                if candidates.size >= k or probes >= self.nlist:
+                    break
+                probes = min(probes * 2, self.nlist)
+            scores = self._rows[candidates] @ queries[qi]
+            take = min(k, candidates.size)
+            idx, top = _oracle_top_k(scores[None, :], take)
+            rows = candidates[idx[0]]
+            order = np.lexsort((rows, -top[0]))
+            out_idx[qi] = rows[order]
+            out_scores[qi] = top[0][order]
+        return out_idx, out_scores
 
 
 def clustered_embeddings(
@@ -191,6 +266,36 @@ class TestIVFStructure:
             IVFIndex(base, nlist=8, nprobe=0)
         with pytest.raises(ValueError, match="nprobe"):
             IVFIndex(base, nlist=8).search(base[:1], 5, nprobe=-1)
+
+
+class TestIVFSearchMatchesOracle:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("metric", ["cosine", "dot"])
+    def test_search_bytes_equal_oracle(self, metric, dtype):
+        """Indices and scores are byte-equal to the oracle at every
+        probe width, through the probe-doubling path and past
+        ``num_rows``, on a table whose duplicated rows tie exactly."""
+        x = clustered_embeddings(n=600, dim=12, clusters=8, seed=7)
+        x[300:340] = x[:40]
+        x = x.astype(dtype)
+        fast = IVFIndex(x, metric=metric, seed=1)
+        oracle = OracleIVFIndex(x, metric=metric, seed=1)
+        rng = np.random.default_rng(3)
+        queries = np.vstack(
+            [x[::37], rng.standard_normal((8, x.shape[1])).astype(dtype)]
+        )
+        largest_first = np.sort(fast.cell_sizes())[::-1]
+        for nprobe in (1, fast.nprobe, fast.nlist):
+            # more rows than any nprobe cells hold: probing must double
+            doubling = int(largest_first[:nprobe].sum()) + 1
+            if nprobe < fast.nlist:
+                assert doubling <= fast.num_rows
+            for k in (1, 11, doubling, fast.num_rows + 5):
+                got = fast.search(queries, k, nprobe=nprobe)
+                want = oracle.search(queries, k, nprobe=nprobe)
+                for g, w in zip(got, want):
+                    assert g.dtype == w.dtype and g.shape == w.shape
+                    assert g.tobytes() == w.tobytes(), (nprobe, k)
 
 
 class TestHelpers:

@@ -1,4 +1,5 @@
-"""Service-layer tests: batched execution, metrics wiring, lifecycle."""
+"""Service-layer tests: batched execution, result identity, metrics
+wiring, lifecycle."""
 
 import numpy as np
 import pytest
@@ -75,6 +76,102 @@ class TestQueries:
         assert [[n for n, _ in e] for e in exact] == [
             [n for n, _ in e] for e in approx
         ]
+
+
+def reference_top_k(service, node_ids, k, nprobe=None, exclude_self=True):
+    """The plain form of :meth:`EmbeddingService.top_k`: per batch, one
+    index search, then an element-by-element walk of its result."""
+    index = service.index
+    results = []
+    fetch = k + 1 if exclude_self else k
+    for start in range(0, len(node_ids), service.batch_size):
+        chunk = node_ids[start : start + service.batch_size]
+        rows = np.array(
+            [service.store.row_of(n) for n in chunk], dtype=np.int64
+        )
+        kwargs = {} if nprobe is None else {"nprobe": nprobe}
+        if isinstance(index, BruteForceIndex):
+            kwargs = {}
+        idx, scores = index.search(service.store.matrix[rows], fetch, **kwargs)
+        for qpos, row in enumerate(rows):
+            entry = []
+            for col in range(idx.shape[1]):
+                neighbor = int(idx[qpos, col])
+                if exclude_self and neighbor == row:
+                    continue
+                entry.append(
+                    (service.store.ids[neighbor], float(scores[qpos, col]))
+                )
+                if len(entry) == k:
+                    break
+            results.append(entry)
+    return results
+
+
+@pytest.fixture(scope="module")
+def dot_store_path(tmp_path_factory):
+    """float32 rows where ``n7`` is short: under ``dot`` its own row
+    scores below its top k+1, so self-exclusion has nothing to drop."""
+    x = clustered_embeddings(
+        n=300, dim=8, clusters=10, dtype=np.float32, seed=2
+    )
+    x[7] *= np.float32(0.01)
+    path = tmp_path_factory.mktemp("svc_dot") / "e.tnemb"
+    write_store(path, [f"n{i}" for i in range(len(x))], x)
+    return path
+
+
+class TestTopKIdentity:
+    """``top_k`` returns exactly the lists of :func:`reference_top_k`:
+    the same ids and bit-equal scores, as ``str`` and Python ``float``."""
+
+    NODES = ["n7", "n3", "n299", "n0", "n7", "n150", "n42"]
+
+    @staticmethod
+    def assert_identical(got, want):
+        assert repr(got) == repr(want)
+        for entry in got:
+            for neighbor, score in entry:
+                assert type(neighbor) is str and type(score) is float
+
+    @pytest.mark.parametrize("exclude_self", [True, False])
+    @pytest.mark.parametrize("metric", ["cosine", "dot"])
+    def test_ivf_lists_identical(self, dot_store_path, metric, exclude_self):
+        with EmbeddingService(
+            dot_store_path, metric=metric, nlist=12, nprobe=2, batch_size=3
+        ) as svc:
+            for nprobe in (None, 1, 12):
+                got = svc.top_k(
+                    self.NODES, k=6, nprobe=nprobe, exclude_self=exclude_self
+                )
+                want = reference_top_k(
+                    svc, self.NODES, 6, nprobe, exclude_self
+                )
+                self.assert_identical(got, want)
+                assert all(len(entry) == 6 for entry in got)
+
+    def test_self_outside_fetch_is_trimmed_to_k(self, dot_store_path):
+        with EmbeddingService(
+            dot_store_path, metric="dot", index="brute"
+        ) as svc:
+            [fetched] = svc.index.search(svc.store.matrix[7:8], 6)[0]
+            assert 7 not in fetched.tolist()  # nothing for exclusion to drop
+            got = svc.top_k(["n7"], k=5)
+            self.assert_identical(got, reference_top_k(svc, ["n7"], 5))
+            assert len(got[0]) == 5
+
+    def test_prebuilt_brute_index_ignores_nprobe(self, dot_store_path):
+        from repro.serving import EmbeddingStore
+
+        with EmbeddingStore(dot_store_path) as store:
+            svc = EmbeddingService(
+                store, index=BruteForceIndex(store.matrix), batch_size=2
+            )
+            got = svc.top_k(self.NODES, k=4, nprobe=3)
+            self.assert_identical(
+                got, reference_top_k(svc, self.NODES, 4, nprobe=3)
+            )
+            self.assert_identical(got, svc.top_k(self.NODES, k=4))
 
 
 class TestObservability:
