@@ -756,7 +756,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--report",
         default=None,
         help="write a versioned JSON run report of the serving session "
-        "(query counters, batch sizes, p50/p99 latency gauges)",
+        "(query counters, batch sizes, p50/p99 per-batch latency gauges)",
     )
     _add_serving_options(p_query)
     p_query.set_defaults(func=_cmd_query)

@@ -144,11 +144,13 @@ class IVFIndex:
     (at most ``_KMEANS_FLOAT_BUDGET / (nlist * dim)`` of them; each
     Lloyd step of :class:`repro.ml.kmeans.KMeans` holds one ``(n, k)``
     distance block), then every row is assigned to its nearest centroid
-    in chunks.  Search: score the query against all ``nlist`` centroids,
-    probe the ``nprobe`` nearest cells, rerank their members exactly,
-    and — when the probed cells hold fewer than ``k`` members — keep
-    probing further cells in the same order until ``k`` candidates
-    exist, so results never pad.
+    in chunks, and the prepared rows are stored cell-major (each cell's
+    members one contiguous block; under ``dot`` this is an in-RAM copy
+    of the matrix).  Search: score the query against all ``nlist``
+    centroids, probe the ``nprobe`` nearest cells, rerank their members
+    exactly with one GEMV over the probed blocks, and — when the probed
+    cells hold fewer than ``k`` members — keep probing further cells in
+    the same order until ``k`` candidates exist, so results never pad.
 
     Args:
         matrix: ``(n, dim)`` embedding rows.
@@ -230,6 +232,15 @@ class IVFIndex:
         self._cell_ends = np.searchsorted(
             sorted_cells, np.arange(self.nlist), side="right"
         )
+        # cell-major rows: a cell's members are one contiguous block, in
+        # the order of its inverted list
+        self._base = self._base[self._order]
+        bounds = list(
+            zip(self._cell_starts.tolist(), self._cell_ends.tolist())
+        )
+        self._cell_rows = [self._base[s:e] for s, e in bounds]
+        self._cell_ids = [self._order[s:e] for s, e in bounds]
+        self._cell_counts = [e - s for s, e in bounds]
 
     def cell_sizes(self) -> np.ndarray:
         """Members per cell (diagnostics; sums to ``num_rows``)."""
@@ -260,30 +271,27 @@ class IVFIndex:
         num_queries = queries.shape[0]
         out_idx = np.empty((num_queries, k), dtype=np.int64)
         out_scores = np.empty((num_queries, k), dtype=self._base.dtype)
-        for qi in range(num_queries):
+        for qi, rank in enumerate(cell_rank.tolist()):
             probes = nprobe
             while True:
-                cells = cell_rank[qi, :probes]
-                candidates = np.concatenate(
-                    [
-                        self._order[
-                            self._cell_starts[c] : self._cell_ends[c]
-                        ]
-                        for c in cells
-                    ]
-                )
-                if candidates.size >= k or probes >= self.nlist:
+                cells = rank[:probes]
+                size = sum(self._cell_counts[c] for c in cells)
+                if size >= k or probes >= self.nlist:
                     break
                 probes = min(probes * 2, self.nlist)
-            scores = self._base[candidates] @ queries[qi]
-            take = min(k, candidates.size)
-            idx, top = _stable_top_k(scores[None, :], take)
-            # map candidate positions back to row ids; re-sort stably on
-            # (score desc, row id) so output order matches brute force
-            rows = candidates[idx[0]]
-            order = np.lexsort((rows, -top[0]))
+            scores = (
+                np.concatenate([self._cell_rows[c] for c in cells])
+                @ queries[qi]
+            )
+            rows = np.concatenate([self._cell_ids[c] for c in cells])
+            if k < size:
+                picked = np.argpartition(scores, size - k)[size - k :]
+                rows, scores = rows[picked], scores[picked]
+            # candidate rows are unique, so (score desc, row id) is a
+            # total order: the same one brute force returns
+            order = np.lexsort((rows, -scores))
             out_idx[qi] = rows[order]
-            out_scores[qi] = top[0][order]
+            out_scores[qi] = scores[order]
         return out_idx, out_scores
 
 

@@ -48,7 +48,9 @@ def _percentile_gauges(
     metrics: MetricsRegistry, name: str, series: str
 ) -> None:
     """Refresh ``<name>_p50_ms``/``<name>_p99_ms`` gauges from the
-    retained tail of ``series`` (bounded, so this stays cheap)."""
+    retained tail of ``series`` (bounded, so this stays cheap).  The
+    series holds one latency per executed batch, so the gauges are
+    per-batch percentiles, not per-query ones."""
     values = metrics.series_values(series)
     if not values:
         return
@@ -183,23 +185,19 @@ class EmbeddingService:
                 [self.store.row_of(n) for n in chunk], dtype=np.int64
             )
             queries = self.store.matrix[rows]
-            kwargs = {} if nprobe is None else {"nprobe": nprobe}
-            if isinstance(index, BruteForceIndex) and nprobe is not None:
-                kwargs = {}
-            idx, scores = index.search(queries, fetch, **kwargs)
+            if nprobe is None or index.exact:
+                idx, scores = index.search(queries, fetch)
+            else:
+                idx, scores = index.search(queries, fetch, nprobe=nprobe)
             ids = self.store.ids
-            for qpos, row in enumerate(rows):
-                entry: list[tuple[str, float]] = []
-                for col in range(idx.shape[1]):
-                    neighbor = int(idx[qpos, col])
-                    if exclude_self and neighbor == row:
-                        continue
-                    entry.append(
-                        (ids[neighbor], float(scores[qpos, col]))
-                    )
-                    if len(entry) == k:
-                        break
-                results.append(entry)
+            # -1 matches no neighbor, so nothing is dropped
+            skip = rows.tolist() if exclude_self else [-1] * len(chunk)
+            results.extend(
+                [(ids[n], s) for n, s in zip(found, values) if n != own][:k]
+                for own, found, values in zip(
+                    skip, idx.tolist(), scores.tolist()
+                )
+            )
             self._record_batch("topk", len(chunk), _now() - start_t)
         return results
 

@@ -253,25 +253,25 @@ class EmbeddingStore:
         start = HEADER_BYTES + self.count * self.dim * self.dtype.itemsize
         return self._map[start : start + self._ids_bytes]
 
-    def row_of(self, node_id: str) -> int:
-        """The matrix row of ``node_id``; raises ``KeyError`` if absent."""
+    def _rows(self) -> dict[str, int]:
+        """The id -> row map, built on first use."""
         if self._row_index is None:
             self._row_index = {
                 node: row for row, node in enumerate(self.ids)
             }
+        return self._row_index
+
+    def row_of(self, node_id: str) -> int:
+        """The matrix row of ``node_id``; raises ``KeyError`` if absent."""
         try:
-            return self._row_index[node_id]
+            return self._rows()[node_id]
         except KeyError:
             raise KeyError(
                 f"node id {node_id!r} is not in store {self.path}"
             ) from None
 
     def __contains__(self, node_id: str) -> bool:
-        if self._row_index is None:
-            self._row_index = {
-                node: row for row, node in enumerate(self.ids)
-            }
-        return node_id in self._row_index
+        return node_id in self._rows()
 
     def vector(self, node_id: str) -> np.ndarray:
         """The stored vector of ``node_id`` (a read-only mmap view)."""
