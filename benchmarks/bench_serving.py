@@ -11,7 +11,11 @@ to a TNEMB1 store, and measures the full serving path:
 * **recall@10 vs brute force** on sampled stored-vector queries — the
   acceptance bar is >= 0.9 at the operating point recorded in the
   payload (nlist/nprobe ride along so the number is reproducible);
-* single-query p50/p99 latency and batched throughput (QPS).
+* single-query p50/p99 latency and batched throughput (QPS).  The QPS
+  phase runs through a second service over the same built index, with
+  its own metrics registry, so the ``serving/latency_ms`` series and its
+  p50/p99 gauges in the report describe the single-query phase alone;
+* process peak RSS right after the index build.
 
 Results land in ``BENCH_serving.json`` at the repository root.
 
@@ -29,6 +33,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import sys
 import time
 from pathlib import Path
@@ -160,7 +165,14 @@ def main(argv: list[str] | None = None) -> None:
                 flush=True,
             )
             build_s = timed(lambda: service.index)
-            print(f"index build {build_s:.2f}s")
+            # ru_maxrss is in KiB on Linux
+            rss_after_build_mb = (
+                resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+            )
+            print(
+                f"index build {build_s:.2f}s "
+                f"(peak RSS {rss_after_build_mb:.0f} MB)"
+            )
 
             # recall@10 vs brute force on sampled stored vectors
             sample = rng.choice(
@@ -187,10 +199,18 @@ def main(argv: list[str] | None = None) -> None:
             p99_ms = float(np.percentile(latencies, 99))
             print(f"latency p50 {p50_ms:.2f} ms  p99 {p99_ms:.2f} ms")
 
-            # batched throughput
+            # batched throughput, recorded apart from the single queries
             qps_rows = rng.integers(0, cfg["nodes"], cfg["qps_queries"])
             qps_ids = [ids[int(r)] for r in qps_rows]
-            qps_s = timed(lambda: service.top_k(qps_ids, k=10))
+            qps_metrics = MetricsRegistry()
+            batched = EmbeddingService(
+                service.store,
+                metric="cosine",
+                index=service.index,
+                batch_size=cfg["qps_batch"],
+                metrics=qps_metrics,
+            )
+            qps_s = timed(lambda: batched.top_k(qps_ids, k=10))
             qps = cfg["qps_queries"] / qps_s
             print(
                 f"throughput {qps:,.0f} qps "
@@ -217,13 +237,18 @@ def main(argv: list[str] | None = None) -> None:
         "store_write_s": write_s,
         "open_ms": open_ms,
         "index_build_s": build_s,
+        "peak_rss_mb_after_build": rss_after_build_mb,
         "recall_at_10": recall,
+        "latency_queries": cfg["latency_queries"],
         "p50_ms": p50_ms,
         "p99_ms": p99_ms,
         "qps": qps,
         "qps_batch": cfg["qps_batch"],
         "observability": RunReport(
             metrics, tracer, metadata={"benchmark": "serving"}
+        ).to_dict(),
+        "qps_observability": RunReport(
+            qps_metrics, metadata={"benchmark": "serving", "phase": "qps"}
         ).to_dict(),
     }
     args.out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

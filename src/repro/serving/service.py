@@ -198,7 +198,9 @@ class EmbeddingService:
                     skip, idx.tolist(), scores.tolist()
                 )
             )
-            self._record_batch("topk", len(chunk), _now() - start_t)
+            self._record_batch(
+                "topk", len(chunk), _now() - start_t, index.rows_scored
+            )
         return results
 
     # ------------------------------------------------------------------
@@ -226,11 +228,17 @@ class EmbeddingService:
         return recall
 
     def _record_batch(
-        self, kind: str, batch: int, elapsed_s: float
+        self,
+        kind: str,
+        batch: int,
+        elapsed_s: float,
+        rows_scored: int | None = None,
     ) -> None:
         if not self.metrics.enabled:
             return
         self.metrics.counter("serving/queries", batch)
+        if rows_scored is not None:
+            self.metrics.counter("serving/rows_scored", rows_scored)
         self.metrics.counter(f"serving/{kind}_queries", batch)
         self.metrics.observe("serving/batch_size", batch)
         self.metrics.observe("serving/latency_ms", elapsed_s * 1e3)

@@ -4,6 +4,7 @@ wiring, lifecycle."""
 import numpy as np
 import pytest
 
+import repro.serving.index as index_module
 from repro.engine.observability import MetricsRegistry, Tracer
 from repro.serving import (
     BruteForceIndex,
@@ -21,6 +22,54 @@ def store_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("svc") / "e.tnemb"
     write_store(path, [f"n{i}" for i in range(len(x))], x)
     return path
+
+
+class TestRowsScored:
+    """``serving/rows_scored`` counts the rows each search scored."""
+
+    @pytest.mark.parametrize("width", ["one", "default", "all"])
+    def test_ivf_counter_matches_probe_walk(self, store_path, width):
+        metrics = MetricsRegistry()
+        nodes = [f"n{i}" for i in range(0, 300, 7)]
+        with EmbeddingService(
+            store_path, nlist=16, batch_size=8, metrics=metrics
+        ) as svc:
+            index = svc.index
+            nprobe = {"one": 1, "default": None, "all": index.nlist}[width]
+            svc.top_k(nodes, k=30, nprobe=nprobe)
+            rows = [svc.store.row_of(n) for n in nodes]
+            queries = index_module._as_queries(
+                svc.store.matrix[rows], index.dim, index.metric
+            )
+        # recompute each query's probe walk from the centroid ranking:
+        # double the probed cells until they hold the k + 1 fetched rows
+        ranks = np.argsort(
+            index._cent_sq - 2.0 * (queries @ index.centroids.T),
+            kind="stable",
+            axis=1,
+        )
+        sizes = index.cell_sizes()
+        start = index.nprobe if nprobe is None else nprobe
+        expected = first = 0
+        for rank in ranks:
+            probes = start
+            first += int(sizes[rank[:probes]].sum())
+            while sizes[rank[:probes]].sum() < 31 and probes < index.nlist:
+                probes = min(probes * 2, index.nlist)
+            expected += int(sizes[rank[:probes]].sum())
+        if width == "one":
+            assert expected > first  # some query doubled its probes
+        counters = metrics.snapshot()["counters"]
+        assert counters["serving/rows_scored"] == expected
+
+    def test_brute_counter_is_every_row_per_query(self, store_path):
+        metrics = MetricsRegistry()
+        with EmbeddingService(
+            store_path, index="brute", batch_size=4, metrics=metrics
+        ) as svc:
+            svc.top_k([f"n{i}" for i in range(10)], k=3)
+        counters = metrics.snapshot()["counters"]
+        assert counters["serving/rows_scored"] == 300 * 10
 
 
 class TestQueries:
