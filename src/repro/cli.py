@@ -36,7 +36,6 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.core import TransNConfig
 from repro.graph import compute_statistics, load_graph, save_embeddings, save_graph
 from repro.graph.heterograph import HeteroGraph
 from repro.walks.policies import POLICY_NAMES
@@ -67,6 +66,7 @@ def _save_labels(labels: dict, path: str | Path) -> None:
 def _make_method(name: str, graph: HeteroGraph, args: argparse.Namespace):
     """Instantiate a method by CLI name."""
     from repro.baselines import LINE, MVE, RGCN, DeepWalk, HIN2Vec, Node2Vec, SimplE
+    from repro.core import TransNConfig
     from repro.eval.methods import TransNMethod
 
     name = name.lower()
@@ -93,7 +93,6 @@ def _make_method(name: str, graph: HeteroGraph, args: argparse.Namespace):
             config = TransNConfig(
                 dim=dim,
                 seed=seed,
-                num_iterations=args.iterations,
                 checkpoint_every=checkpoint_every,
                 health_policy=health_policy,
                 workers=workers,
@@ -101,7 +100,15 @@ def _make_method(name: str, graph: HeteroGraph, args: argparse.Namespace):
                 spill_dir=spill_dir,
                 on_spill_error=on_spill_error,
                 dtype=dtype,
-                **({} if walk_policy is None else {"walk_policy": walk_policy}),
+                # unset options keep TransNConfig's defaults
+                **{
+                    key: value
+                    for key, value in (
+                        ("walk_policy", walk_policy),
+                        ("num_iterations", args.iterations),
+                    )
+                    if value is not None
+                },
             )
         except ValueError as error:
             raise SystemExit(str(error)) from None
@@ -522,8 +529,9 @@ def _add_method_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--iterations",
         type=int,
-        default=TransNConfig().num_iterations,
-        help="TransN outer iterations (Algorithm 1's K)",
+        default=None,
+        help="TransN outer iterations (Algorithm 1's K; default: "
+        "TransNConfig's num_iterations)",
     )
     parser.add_argument(
         "--walk-policy",

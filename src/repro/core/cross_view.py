@@ -352,13 +352,16 @@ class CrossViewTrainer:
         self._translator_optim.zero_grad()
         for start in range(0, num_chunks, micro):
             block = chunks[start:start + micro]
-            src_rows = src_map[block]
-            tgt_rows = tgt_map[block] if self.use_translation else None
+            # ndarray.take: the rows fancy indexing gathers, faster
+            src_rows = src_map.take(block)
+            tgt_rows = tgt_map.take(block) if self.use_translation else None
             t, r, d_src, d_tgt = direction_step(
                 forward,
                 backward,
-                source_emb[src_rows],
-                None if tgt_rows is None else target_emb[tgt_rows],
+                source_emb.take(src_rows, axis=0),
+                None
+                if tgt_rows is None
+                else target_emb.take(tgt_rows, axis=0),
                 normalize=self.normalize,
                 reconstruction=self.use_reconstruction,
                 scale=scale,

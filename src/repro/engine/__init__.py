@@ -42,67 +42,7 @@ This is the seam where instrumentation, scheduling, and seeding
 plug in once and apply to every method.
 """
 
-from repro.engine.callbacks import (
-    Callback,
-    Checkpointer,
-    EarlyStopping,
-    LinearLRDecay,
-    LossHistory,
-    NumericalHealthError,
-    NumericalHealthGuard,
-    PhaseTimer,
-    ProgressReporter,
-    RelationBalancer,
-)
-from repro.engine.checkpoint import (
-    Checkpoint,
-    CheckpointError,
-    CheckpointManager,
-    TrainingState,
-    dump_state,
-    load_state,
-    non_finite_entries,
-)
-from repro.engine.faults import (
-    FAULT_POINTS,
-    FaultInjector,
-    activate,
-    get_active,
-    scoped,
-)
-from repro.engine.loop import (
-    CallablePhase,
-    LoopResult,
-    Phase,
-    SkipGramPhase,
-    TrainingLoop,
-)
-from repro.engine.observability import (
-    NULL_REGISTRY,
-    NULL_TRACER,
-    MetricsRegistry,
-    NullRegistry,
-    NullTracer,
-    RunReport,
-    Span,
-    Tracer,
-    load_report,
-)
-from repro.engine.parallel import (
-    CROSS_VIEW_TAG,
-    SINGLE_VIEW_TAG,
-    ParallelRuntime,
-    conflict_waves,
-    pair_rng,
-    single_view_seed,
-)
-from repro.engine.pipeline import (
-    BatchSource,
-    EdgeSamplingPipeline,
-    SkipGramBatch,
-    StreamingCorpusPipeline,
-    block_walks_for_budget,
-)
+import importlib
 
 __all__ = [
     "BatchSource",
@@ -153,3 +93,69 @@ __all__ = [
     "scoped",
     "single_view_seed",
 ]
+
+#: each export's submodule; an export loads its submodule on first access
+#: (PEP 562), so a server importing the observability layer does not load
+#: the SGNS trainer, the walk engines or scipy
+_EXPORTS = {
+    "Callback": "callbacks",
+    "Checkpointer": "callbacks",
+    "EarlyStopping": "callbacks",
+    "LinearLRDecay": "callbacks",
+    "LossHistory": "callbacks",
+    "NumericalHealthError": "callbacks",
+    "NumericalHealthGuard": "callbacks",
+    "PhaseTimer": "callbacks",
+    "ProgressReporter": "callbacks",
+    "RelationBalancer": "callbacks",
+    "Checkpoint": "checkpoint",
+    "CheckpointError": "checkpoint",
+    "CheckpointManager": "checkpoint",
+    "TrainingState": "checkpoint",
+    "dump_state": "checkpoint",
+    "load_state": "checkpoint",
+    "non_finite_entries": "checkpoint",
+    "FAULT_POINTS": "faults",
+    "FaultInjector": "faults",
+    "activate": "faults",
+    "get_active": "faults",
+    "scoped": "faults",
+    "CallablePhase": "loop",
+    "LoopResult": "loop",
+    "Phase": "loop",
+    "SkipGramPhase": "loop",
+    "TrainingLoop": "loop",
+    "NULL_REGISTRY": "observability",
+    "NULL_TRACER": "observability",
+    "MetricsRegistry": "observability",
+    "NullRegistry": "observability",
+    "NullTracer": "observability",
+    "RunReport": "observability",
+    "Span": "observability",
+    "Tracer": "observability",
+    "load_report": "observability",
+    "CROSS_VIEW_TAG": "parallel",
+    "SINGLE_VIEW_TAG": "parallel",
+    "ParallelRuntime": "parallel",
+    "conflict_waves": "parallel",
+    "pair_rng": "parallel",
+    "single_view_seed": "parallel",
+    "BatchSource": "pipeline",
+    "EdgeSamplingPipeline": "pipeline",
+    "SkipGramBatch": "pipeline",
+    "StreamingCorpusPipeline": "pipeline",
+    "block_walks_for_budget": "pipeline",
+}
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

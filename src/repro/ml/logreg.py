@@ -9,8 +9,6 @@ intercept penalty.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import logsumexp
 
 
 class LogisticRegression:
@@ -42,6 +40,12 @@ class LogisticRegression:
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "LogisticRegression":
         """Fit on features ``x`` (n, d) and integer/str labels ``y`` (n,)."""
+        # scipy.optimize costs about 27 MB of RSS to import; importing it
+        # here keeps it out of every process that never fits (a server
+        # reaches this module through repro.ml.kmeans)
+        from scipy.optimize import minimize
+        from scipy.special import logsumexp
+
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y)
         if x.ndim != 2 or y.shape != (x.shape[0],):

@@ -38,6 +38,21 @@ class TestParser:
             args = parser.parse_args(argv)
             assert callable(args.func)
 
+    def test_iterations_default_is_the_config_default(self, toy_files):
+        from repro.cli import _make_method
+        from repro.core import TransNConfig
+
+        graph = load_graph(toy_files[0])
+        parser = build_parser()
+        args = parser.parse_args(["train", "g.tsv", "--out", "e.txt"])
+        assert args.iterations is None
+        method = _make_method("transn", graph, args)
+        assert method.config.num_iterations == TransNConfig().num_iterations
+        args = parser.parse_args(
+            ["train", "g.tsv", "--out", "e.txt", "--iterations", "3"]
+        )
+        assert _make_method("transn", graph, args).config.num_iterations == 3
+
 
 class TestGenerate:
     def test_generate_and_stats(self, tmp_path, capsys):
