@@ -38,10 +38,10 @@ class EmbeddingMethod(ABC):
     return zero vectors for them, which is what running the original code
     and filling gaps would give the downstream classifier).
 
-    Methods that train through :meth:`_run_loop` (all SGNS-style methods)
-    honour :attr:`callbacks` — engine hooks attached before ``fit`` — and
-    record the engine's :class:`~repro.engine.LoopResult` (loss history,
-    per-phase timings) in :attr:`last_run_`.
+    Every trained method runs its epochs through :meth:`_run_loop`, so
+    each honours :attr:`callbacks` — engine hooks attached before
+    ``fit`` — and records the engine's :class:`~repro.engine.LoopResult`
+    (loss history, per-phase timings) in :attr:`last_run_`.
     """
 
     name: str = "unnamed"
@@ -80,7 +80,8 @@ class EmbeddingMethod(ABC):
         self.tracer = Tracer(trace_memory=trace_memory)
 
     def _run_loop(self, phases: list[Phase], num_epochs: int) -> LoopResult:
-        """Run an engine loop with this method's callbacks attached."""
+        """Run an engine loop with this method's callbacks attached, then
+        write the run report if :meth:`enable_report` was called."""
         if self.metrics.enabled:
             for phase in phases:
                 trainer = getattr(phase, "trainer", None)
@@ -96,30 +97,20 @@ class EmbeddingMethod(ABC):
         try:
             self.last_run_ = loop.run(num_epochs)
         finally:
-            self._write_report()
+            if self.report_path is not None:
+                try:
+                    RunReport(
+                        self.metrics,
+                        self.tracer,
+                        metadata={
+                            "model": self.name.lower(),
+                            "dim": self.dim,
+                            "seed": self.seed,
+                        },
+                    ).write(self.report_path)
+                finally:
+                    self.tracer.close()
         return self.last_run_
-
-    def _write_report(self) -> None:
-        """Serialize the run report if :meth:`enable_report` was called.
-
-        Methods that train through :meth:`_run_loop` get this for free;
-        hand-rolled ``fit`` loops (R-GCN, SimplE, HIN2Vec) call it at the
-        end of training themselves.
-        """
-        if self.report_path is None:
-            return
-        try:
-            RunReport(
-                self.metrics,
-                self.tracer,
-                metadata={
-                    "model": self.name.lower(),
-                    "dim": self.dim,
-                    "seed": self.seed,
-                },
-            ).write(self.report_path)
-        finally:
-            self.tracer.close()
 
     def attach_health_guard(self, policy: str = "raise") -> None:
         """Watch this method's training for NaN/Inf and loss explosions.

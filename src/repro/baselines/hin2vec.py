@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.engine import CallablePhase
 from repro.graph.heterograph import HeteroGraph, NodeId
 
 from repro.baselines.base import EmbeddingMethod, Embeddings
@@ -131,42 +132,42 @@ class HIN2Vec(EmbeddingMethod):
         node_emb = self._init_matrix(graph.num_nodes, rng)
         relation_emb: np.ndarray | None = None
 
-        with self.tracer.span("run", kind="run", num_epochs=self.epochs):
-            for epoch in range(self.epochs):
-                with self.tracer.span("epoch", kind="epoch", epoch=epoch):
-                    xs, ys, rels = self._collect_pairs(graph, rng)
-                    if xs.size == 0:
-                        break
-                    if relation_emb is None or relation_emb.shape[0] < len(
-                        self.relation_vocabulary
-                    ):
-                        new = self._init_matrix(
-                            len(self.relation_vocabulary), rng
-                        )
-                        if relation_emb is not None:
-                            new[: relation_emb.shape[0]] = relation_emb
-                        relation_emb = new
-                    order = rng.permutation(xs.size)
-                    xs, ys, rels = xs[order], ys[order], rels[order]
-                    for start in range(0, xs.size, self.batch_size):
-                        end = min(start + self.batch_size, xs.size)
-                        self._train_batch(
-                            node_emb,
-                            relation_emb,
-                            xs[start:end],
-                            ys[start:end],
-                            rels[start:end],
-                            nodes_by_type,
-                            type_of_index,
-                            rng,
-                        )
-                    if self.metrics.enabled:
-                        self.metrics.counter("hin2vec/pairs", xs.size)
-                        self.metrics.gauge(
-                            "hin2vec/relation_vocabulary",
-                            len(self.relation_vocabulary),
-                        )
-        self._write_report()
+        def train_epoch(loop, epoch: int) -> float | None:
+            nonlocal relation_emb
+            xs, ys, rels = self._collect_pairs(graph, rng)
+            if xs.size == 0:
+                return None  # no walk took a step, so nothing was drawn
+            if relation_emb is None or relation_emb.shape[0] < len(
+                self.relation_vocabulary
+            ):
+                new = self._init_matrix(len(self.relation_vocabulary), rng)
+                if relation_emb is not None:
+                    new[: relation_emb.shape[0]] = relation_emb
+                relation_emb = new
+            order = rng.permutation(xs.size)
+            xs, ys, rels = xs[order], ys[order], rels[order]
+            total = 0.0
+            for start in range(0, xs.size, self.batch_size):
+                end = min(start + self.batch_size, xs.size)
+                total += self._train_batch(
+                    node_emb,
+                    relation_emb,
+                    xs[start:end],
+                    ys[start:end],
+                    rels[start:end],
+                    nodes_by_type,
+                    type_of_index,
+                    rng,
+                )
+            if self.metrics.enabled:
+                self.metrics.counter("hin2vec/pairs", xs.size)
+                self.metrics.gauge(
+                    "hin2vec/relation_vocabulary",
+                    len(self.relation_vocabulary),
+                )
+            return total / (xs.size * (1 + self.num_negatives))
+
+        self._run_loop([CallablePhase("hin2vec", train_epoch)], self.epochs)
         return self._as_dict(graph, node_emb)
 
     def _train_batch(
@@ -179,8 +180,9 @@ class HIN2Vec(EmbeddingMethod):
         nodes_by_type: dict[str, np.ndarray],
         type_of_index: np.ndarray,
         rng: np.random.Generator,
-    ) -> None:
-        """One positive pass plus ``num_negatives`` corrupted passes."""
+    ) -> float:
+        """One positive pass plus ``num_negatives`` corrupted passes;
+        returns their summed logistic loss."""
         batches = [(xs, ys, rels, 1.0)]
         for _ in range(self.num_negatives):
             corrupted = np.array(
@@ -193,6 +195,7 @@ class HIN2Vec(EmbeddingMethod):
                 dtype=np.int64,
             )
             batches.append((xs, corrupted, rels, 0.0))
+        total = 0.0
         for bx, by, br, target in batches:
             wx = node_emb[bx]
             wy = node_emb[by]
@@ -207,6 +210,15 @@ class HIN2Vec(EmbeddingMethod):
             _mean_update(node_emb, bx, grad_x, self.lr)
             _mean_update(node_emb, by, grad_y, self.lr)
             _mean_update(relation_emb, br, grad_r, self.lr)
+            total += _logistic_loss(prob, target)
+        return total
+
+
+def _logistic_loss(prob: np.ndarray, target: np.ndarray | float) -> float:
+    """Summed binary cross-entropy of ``prob`` against 0/1 ``target``,
+    with R-GCN's ``1e-7`` floor inside the logs."""
+    p_true = np.where(target > 0.5, prob, 1.0 - prob)
+    return float(-np.log(np.maximum(p_true, 1e-7)).sum())
 
 
 def _mean_update(

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.autograd import Tensor, sigmoid
+from repro.engine import CallablePhase
 from repro.graph.heterograph import HeteroGraph
 from repro.nn import Adam, Linear, Module
 
@@ -118,44 +119,44 @@ class RGCN(EmbeddingMethod):
         rels = np.array([rel_index[e.edge_type] for e in edges], dtype=np.int64)
 
         final: np.ndarray | None = None
-        with self.tracer.span("run", kind="run", num_epochs=self.epochs):
-            for epoch in range(self.epochs):
-                with self.tracer.span("epoch", kind="epoch", epoch=epoch):
-                    h = layer2(layer1(features).relu())
-                    batch = min(self.edges_per_epoch, len(edges))
-                    pick = rng.choice(len(edges), size=batch, replace=False)
-                    pos_h, pos_t, pos_r = heads[pick], tails[pick], rels[pick]
-                    # negatives: corrupt the tail uniformly
-                    neg_t = rng.integers(n, size=batch * self.num_negatives)
-                    neg_h = np.repeat(pos_h, self.num_negatives)
-                    neg_r = np.repeat(pos_r, self.num_negatives)
 
-                    all_h = np.concatenate([pos_h, neg_h])
-                    all_t = np.concatenate([pos_t, neg_t])
-                    all_r = np.concatenate([pos_r, neg_r])
-                    targets = np.concatenate(
-                        [np.ones(batch), np.zeros(batch * self.num_negatives)]
-                    )
+        def train_epoch(loop, epoch: int) -> float:
+            nonlocal final
+            h = layer2(layer1(features).relu())
+            batch = min(self.edges_per_epoch, len(edges))
+            pick = rng.choice(len(edges), size=batch, replace=False)
+            pos_h, pos_t, pos_r = heads[pick], tails[pick], rels[pick]
+            # negatives: corrupt the tail uniformly
+            neg_t = rng.integers(n, size=batch * self.num_negatives)
+            neg_h = np.repeat(pos_h, self.num_negatives)
+            neg_r = np.repeat(pos_r, self.num_negatives)
 
-                    hu = h.take_rows(all_h)
-                    hv = h.take_rows(all_t)
-                    mr = relation_diag.take_rows(all_r)
-                    scores = (hu * mr * hv).sum(axis=-1)
-                    probs = sigmoid(scores)
-                    eps = 1e-7
-                    t = Tensor(targets)
-                    loss = -(
-                        t * (probs.clip_min(eps)).log()
-                        + (1.0 - t) * ((1.0 - probs).clip_min(eps)).log()
-                    ).mean()
+            all_h = np.concatenate([pos_h, neg_h])
+            all_t = np.concatenate([pos_t, neg_t])
+            all_r = np.concatenate([pos_r, neg_r])
+            targets = np.concatenate(
+                [np.ones(batch), np.zeros(batch * self.num_negatives)]
+            )
 
-                    optimizer.zero_grad()
-                    loss.backward()
-                    optimizer.step()
-                    final = h.data
-                    if self.metrics.enabled:
-                        self.metrics.observe("rgcn/loss", loss.item())
-                        self.metrics.counter("rgcn/edges_sampled", batch)
+            hu = h.take_rows(all_h)
+            hv = h.take_rows(all_t)
+            mr = relation_diag.take_rows(all_r)
+            scores = (hu * mr * hv).sum(axis=-1)
+            probs = sigmoid(scores)
+            eps = 1e-7
+            t = Tensor(targets)
+            loss = -(
+                t * (probs.clip_min(eps)).log()
+                + (1.0 - t) * ((1.0 - probs).clip_min(eps)).log()
+            ).mean()
+
+            optimizer.zero_grad()
+            loss.backward()
+            optimizer.step()
+            final = h.data
+            self.metrics.counter("rgcn/edges_sampled", batch)
+            return loss.item()
+
+        self._run_loop([CallablePhase("rgcn", train_epoch)], self.epochs)
         assert final is not None
-        self._write_report()
         return self._as_dict(graph, final)

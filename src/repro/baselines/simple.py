@@ -20,10 +20,11 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.engine import CallablePhase
 from repro.graph.heterograph import HeteroGraph
 
 from repro.baselines.base import EmbeddingMethod, Embeddings
-from repro.baselines.hin2vec import _mean_update, _sigmoid
+from repro.baselines.hin2vec import _logistic_loss, _mean_update, _sigmoid
 
 
 class SimplE(EmbeddingMethod):
@@ -78,34 +79,32 @@ class SimplE(EmbeddingMethod):
         vs = np.array([graph.index_of(e.v) for e in edges], dtype=np.int64)
         rs = np.array([rel_index[e.edge_type] for e in edges], dtype=np.int64)
 
-        with self.tracer.span("run", kind="run", num_epochs=self.epochs):
-            for epoch in range(self.epochs):
-                with self.tracer.span("epoch", kind="epoch", epoch=epoch):
-                    order = rng.permutation(len(edges))
-                    for start in range(0, len(edges), self.batch_size):
-                        pick = order[start : start + self.batch_size]
-                        b = pick.size
-                        batches = [(us[pick], vs[pick], rs[pick], np.ones(b))]
-                        for _ in range(self.num_negatives):
-                            corrupt_tail = rng.random(b) < 0.5
-                            nu = np.where(
-                                corrupt_tail, us[pick], rng.integers(n, size=b)
-                            )
-                            nv = np.where(
-                                corrupt_tail, rng.integers(n, size=b), vs[pick]
-                            )
-                            batches.append((nu, nv, rs[pick], np.zeros(b)))
-                        for bu, bv, br, target in batches:
-                            self._step(
-                                head, tail, rel_fwd, rel_inv, bu, bv, br, target
-                            )
-                        self.metrics.counter(
-                            "simple/triples_seen",
-                            sum(part[0].size for part in batches),
-                        )
+        def train_epoch(loop, epoch: int) -> float | None:
+            order = rng.permutation(len(edges))
+            total, scored = 0.0, 0
+            for start in range(0, len(edges), self.batch_size):
+                pick = order[start : start + self.batch_size]
+                b = pick.size
+                batches = [(us[pick], vs[pick], rs[pick], np.ones(b))]
+                for _ in range(self.num_negatives):
+                    corrupt_tail = rng.random(b) < 0.5
+                    nu = np.where(
+                        corrupt_tail, us[pick], rng.integers(n, size=b)
+                    )
+                    nv = np.where(
+                        corrupt_tail, rng.integers(n, size=b), vs[pick]
+                    )
+                    batches.append((nu, nv, rs[pick], np.zeros(b)))
+                for bu, bv, br, target in batches:
+                    total += self._step(
+                        head, tail, rel_fwd, rel_inv, bu, bv, br, target
+                    )
+                    scored += target.size
+            self.metrics.counter("simple/triples_seen", scored)
+            return total / scored if scored else None
 
+        self._run_loop([CallablePhase("simple", train_epoch)], self.epochs)
         final = np.hstack([head, tail])
-        self._write_report()
         return self._as_dict(graph, final)
 
     def _step(
@@ -118,7 +117,8 @@ class SimplE(EmbeddingMethod):
         vs: np.ndarray,
         rs: np.ndarray,
         target: np.ndarray,
-    ) -> None:
+    ) -> float:
+        """One logistic-loss SGD step; returns the batch's summed loss."""
         hu, tv = head[us], tail[vs]
         hv, tu = head[vs], tail[us]
         vr, vr_inv = rel_fwd[rs], rel_inv[rs]
@@ -143,3 +143,4 @@ class SimplE(EmbeddingMethod):
                      np.concatenate([grad_tv, grad_tu]), self.lr)
         _mean_update(rel_fwd, rs, grad_vr, self.lr)
         _mean_update(rel_inv, rs, grad_vr_inv, self.lr)
+        return _logistic_loss(prob, target)

@@ -38,7 +38,6 @@ from pathlib import Path
 
 from repro.graph import compute_statistics, load_graph, save_embeddings, save_graph
 from repro.graph.heterograph import HeteroGraph
-from repro.walks.policies import POLICY_NAMES
 
 
 def _load_labels(path: str | Path) -> dict[str, str]:
@@ -535,10 +534,9 @@ def _add_method_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--walk-policy",
-        choices=POLICY_NAMES,
         default=None,
         help="walk strategy for TransN's views (default: the paper's "
-        "biased correlated walk)",
+        "biased correlated walk; the names are in docs/walk_policies.md)",
     )
     parser.add_argument(
         "--workers",

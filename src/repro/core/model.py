@@ -59,8 +59,8 @@ class _SingleViewPhase(Phase):
     """Algorithm 1 lines 3-8 as an engine phase.
 
     The learning rate lives on the phase (like
-    :class:`~repro.engine.loop.SkipGramPhase`) so scheduling callbacks and
-    the health guard's rollback halving can adjust it between epochs.
+    :class:`~repro.engine.loop.SkipGramPhase`) so the health guard's
+    rollback halving can adjust it between epochs.
     """
 
     def __init__(self, model: "TransN") -> None:
@@ -223,9 +223,9 @@ class TransN:
         ]
 
         # phases are created once (not per fit call) so learning-rate
-        # adjustments made by callbacks — LR schedules, the health guard's
-        # rollback halving — survive repeated fit() calls and are part of
-        # the checkpointed state
+        # adjustments made by callbacks — the health guard's rollback
+        # halving — survive repeated fit() calls and are part of the
+        # checkpointed state
         self._phases: list[Phase] = [_SingleViewPhase(self)]
         if self.cross_trainers:
             self._phases.append(_CrossViewPhase(self))
@@ -434,9 +434,8 @@ class TransN:
         with a ``single_view`` phase and (when view-pairs exist) a
         ``cross_view`` phase, so per-iteration losses and per-phase
         wall-clock timings are observable through engine ``callbacks``
-        (e.g. :class:`repro.engine.ProgressReporter` or
-        :class:`repro.engine.EarlyStopping`); cumulative timings land in
-        :attr:`timings` and the full result in :attr:`last_run`.
+        (e.g. :class:`repro.engine.ProgressReporter`); cumulative timings
+        land in :attr:`timings` and the full result in :attr:`last_run`.
 
         Fault tolerance (infrastructure around Algorithm 1, see
         docs/fault_tolerance.md):

@@ -1,22 +1,24 @@
 """The unified training engine.
 
-Every trainer in this repository — TransN's Algorithm 1 and all
-skip-gram-with-negative-sampling baselines — builds its training loop from
-the same three pieces:
+Every trainer in this repository — TransN's Algorithm 1 and all eight
+baselines — runs its epochs through one :class:`TrainingLoop`, built
+from these pieces:
 
-- a batch **pipeline** (:class:`StreamingCorpusPipeline` for walk
+- a batch **pipeline** (for the skip-gram trainers) (:class:`StreamingCorpusPipeline` for walk
   corpora, :class:`EdgeSamplingPipeline` for LINE-style edge draws) streaming
   (center, context, negatives) minibatches with a reusable noise table;
 - **phases** (:class:`SkipGramPhase`, :class:`CallablePhase`) — named
   per-epoch units of work;
-- a :class:`TrainingLoop` running the phases under a callback system
-  (:class:`LossHistory`, :class:`PhaseTimer`, :class:`EarlyStopping`,
-  :class:`LinearLRDecay`, :class:`ProgressReporter`);
+- a :class:`TrainingLoop` running the phases, keeping their loss history
+  and per-phase wall-clock timing itself, under a callback system
+  (:class:`ProgressReporter`, :class:`NumericalHealthGuard`,
+  :class:`Checkpointer`, :class:`RelationBalancer`);
 - a **fault-tolerance layer** (see ``docs/fault_tolerance.md``): the
   :class:`CheckpointManager` writes atomic, checksummed, rotated
   snapshots of any :class:`TrainingState`; the :class:`Checkpointer`
-  callback persists them on an epoch cadence; ``TrainingLoop.resume``
-  continues an interrupted run bit-exactly; and the
+  callback persists them on an epoch cadence;
+  ``TrainingLoop.load_state_dict`` + ``run(start_epoch=...)`` continues
+  an interrupted run bit-exactly; and the
   :class:`NumericalHealthGuard` catches NaN/Inf losses and loss
   explosions with a raise/rollback/skip policy;
 - an **observability layer** (see ``docs/observability.md``): the
@@ -53,13 +55,10 @@ __all__ = [
     "CheckpointError",
     "CheckpointManager",
     "Checkpointer",
-    "EarlyStopping",
     "EdgeSamplingPipeline",
     "FAULT_POINTS",
     "FaultInjector",
-    "LinearLRDecay",
     "LoopResult",
-    "LossHistory",
     "MetricsRegistry",
     "NULL_REGISTRY",
     "NULL_TRACER",
@@ -69,7 +68,6 @@ __all__ = [
     "NumericalHealthGuard",
     "ParallelRuntime",
     "Phase",
-    "PhaseTimer",
     "ProgressReporter",
     "RelationBalancer",
     "RunReport",
@@ -100,12 +98,8 @@ __all__ = [
 _EXPORTS = {
     "Callback": "callbacks",
     "Checkpointer": "callbacks",
-    "EarlyStopping": "callbacks",
-    "LinearLRDecay": "callbacks",
-    "LossHistory": "callbacks",
     "NumericalHealthError": "callbacks",
     "NumericalHealthGuard": "callbacks",
-    "PhaseTimer": "callbacks",
     "ProgressReporter": "callbacks",
     "RelationBalancer": "callbacks",
     "Checkpoint": "checkpoint",

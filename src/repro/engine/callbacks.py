@@ -4,21 +4,22 @@ A callback receives every lifecycle event of a run:
 
     on_train_begin
       on_epoch_begin
-        on_phase_begin . (on_batch_end)* . on_phase_end     per phase
+        on_phase_begin . on_phase_end     per phase
       on_epoch_end
+      (on_epoch_rollback)                 when a callback asked to retry
     on_train_end
 
 All hooks are no-ops on the base class, so subclasses override only what
-they need.  Callbacks may call ``loop.request_stop()`` (early stopping) or
-mutate phase attributes such as ``lr`` (scheduling) — the loop checks the
-stop flag between epochs.
+they need.  By ``on_phase_end`` the loop has already recorded the phase's
+losses and its wall-clock seconds (``loop.history``,
+``loop.epoch_timings``).  Callbacks may call ``loop.request_retry()`` to
+re-run the epoch, or mutate phase attributes such as ``lr``.
 """
 
 from __future__ import annotations
 
 import math
 import statistics
-import time
 import warnings
 from collections import deque
 from typing import TYPE_CHECKING, Callable
@@ -49,15 +50,6 @@ class Callback:
         self, loop: "TrainingLoop", epoch: int, phase: "Phase"
     ) -> None: ...
 
-    def on_batch_end(
-        self,
-        loop: "TrainingLoop",
-        epoch: int,
-        phase: "Phase",
-        batch_index: int,
-        loss: float,
-    ) -> None: ...
-
     def on_phase_end(
         self,
         loop: "TrainingLoop",
@@ -77,154 +69,6 @@ class Callback:
     def on_train_end(self, loop: "TrainingLoop") -> None: ...
 
 
-class LossHistory(Callback):
-    """Records each phase's named losses for every epoch.
-
-    ``history[phase_name]`` is a list with one ``{loss_name: value}`` dict
-    per epoch (empty dicts mark epochs where the phase reported nothing,
-    e.g. a cross-view step that found no trainable paths).
-    """
-
-    def __init__(self) -> None:
-        self.history: dict[str, list[dict[str, float]]] = {}
-
-    def on_phase_end(self, loop, epoch, phase, losses) -> None:
-        self.history.setdefault(phase.name, []).append(dict(losses))
-
-    def on_epoch_rollback(self, loop, epoch) -> None:
-        for entries in self.history.values():
-            if entries:
-                entries.pop()
-
-    def series(self, phase_name: str, loss_name: str = "loss") -> list[float]:
-        """One loss as a flat series, skipping epochs that lack it."""
-        return [
-            entry[loss_name]
-            for entry in self.history.get(phase_name, [])
-            if loss_name in entry
-        ]
-
-
-class PhaseTimer(Callback):
-    """Wall-clock accounting per phase (and per epoch).
-
-    ``totals[phase_name]`` is the cumulative seconds spent inside the
-    phase; ``epochs[phase_name]`` the per-epoch durations.
-    """
-
-    def __init__(self, clock: Callable[[], float] = time.perf_counter) -> None:
-        self._clock = clock
-        self._started: dict[str, float] = {}
-        self.totals: dict[str, float] = {}
-        self.epochs: dict[str, list[float]] = {}
-
-    def on_phase_begin(self, loop, epoch, phase) -> None:
-        self._started[phase.name] = self._clock()
-
-    def on_phase_end(self, loop, epoch, phase, losses) -> None:
-        elapsed = self._clock() - self._started.pop(phase.name)
-        self.totals[phase.name] = self.totals.get(phase.name, 0.0) + elapsed
-        self.epochs.setdefault(phase.name, []).append(elapsed)
-
-    def on_epoch_rollback(self, loop, epoch) -> None:
-        # keep totals honest: the retried epoch's time was still spent,
-        # but the per-epoch series must stay one entry per kept epoch
-        for name, values in self.epochs.items():
-            if values:
-                values.pop()
-
-
-class EarlyStopping(Callback):
-    """Stop the run once a monitored loss stops improving.
-
-    Args:
-        phase: name of the phase to monitor.
-        loss: name of the loss within that phase (default ``"loss"``).
-        patience: epochs without sufficient improvement tolerated before
-            stopping.
-        min_delta: the minimum decrease that counts as an improvement.
-
-    Epochs where the monitored loss is absent (phase reported nothing) are
-    ignored entirely — they neither reset nor consume patience.
-    """
-
-    def __init__(
-        self,
-        phase: str,
-        loss: str = "loss",
-        patience: int = 3,
-        min_delta: float = 0.0,
-    ) -> None:
-        if patience < 1:
-            raise ValueError(f"patience must be >= 1, got {patience}")
-        if min_delta < 0:
-            raise ValueError(f"min_delta must be >= 0, got {min_delta}")
-        self.phase = phase
-        self.loss = loss
-        self.patience = patience
-        self.min_delta = min_delta
-        self.best: float | None = None
-        self.stale_epochs = 0
-        self.stopped_epoch: int | None = None
-
-    def on_train_begin(self, loop) -> None:
-        self.best = None
-        self.stale_epochs = 0
-        self.stopped_epoch = None
-
-    def on_epoch_end(self, loop, epoch, logs) -> None:
-        value = logs.get(self.phase, {}).get(self.loss)
-        if value is None:
-            return
-        if self.best is None or value < self.best - self.min_delta:
-            self.best = value
-            self.stale_epochs = 0
-            return
-        self.stale_epochs += 1
-        if self.stale_epochs >= self.patience:
-            self.stopped_epoch = epoch
-            loop.request_stop()
-
-
-class LinearLRDecay(Callback):
-    """word2vec-style linear learning-rate decay over the run.
-
-    Sets ``phase.lr`` at the start of every epoch, interpolating from
-    ``start_lr`` (first epoch) down to ``end_lr`` (last scheduled epoch).
-    Applies to every phase in ``phases`` that has an ``lr`` attribute.
-    """
-
-    def __init__(
-        self,
-        phases: list[str] | None,
-        start_lr: float,
-        end_lr: float,
-        num_epochs: int,
-    ) -> None:
-        if num_epochs < 1:
-            raise ValueError(f"num_epochs must be >= 1, got {num_epochs}")
-        if start_lr <= 0 or end_lr <= 0:
-            raise ValueError("learning rates must be positive")
-        self.phases = None if phases is None else set(phases)
-        self.start_lr = start_lr
-        self.end_lr = end_lr
-        self.num_epochs = num_epochs
-
-    def lr_at(self, epoch: int) -> float:
-        if self.num_epochs == 1:
-            return self.start_lr
-        frac = min(epoch, self.num_epochs - 1) / (self.num_epochs - 1)
-        return self.start_lr + frac * (self.end_lr - self.start_lr)
-
-    def on_epoch_begin(self, loop, epoch) -> None:
-        lr = self.lr_at(epoch)
-        for phase in loop.phases:
-            if self.phases is not None and phase.name not in self.phases:
-                continue
-            if hasattr(phase, "lr"):
-                phase.lr = lr
-
-
 class ProgressReporter(Callback):
     """Prints one line per epoch with every phase's losses and duration.
 
@@ -236,20 +80,6 @@ class ProgressReporter(Callback):
 
     def __init__(self, print_fn: Callable[[str], None] = print) -> None:
         self.print_fn = print_fn
-        self._timer = PhaseTimer()
-        self._num_epochs = 0
-
-    def on_train_begin(self, loop) -> None:
-        self._num_epochs = loop.num_epochs
-
-    def on_phase_begin(self, loop, epoch, phase) -> None:
-        self._timer.on_phase_begin(loop, epoch, phase)
-
-    def on_phase_end(self, loop, epoch, phase, losses) -> None:
-        self._timer.on_phase_end(loop, epoch, phase, losses)
-
-    def on_epoch_rollback(self, loop, epoch) -> None:
-        self._timer.on_epoch_rollback(loop, epoch)
 
     def on_epoch_end(self, loop, epoch, logs) -> None:
         parts = []
@@ -260,11 +90,9 @@ class ProgressReporter(Callback):
                 f"{name}={value:.4f}" for name, value in losses.items()
             )
             parts.append(f"{phase.name} {rendered}".rstrip())
-            durations = self._timer.epochs.get(phase.name, [])
-            if durations:
-                elapsed += durations[-1]
+            elapsed += loop.epoch_timings[phase.name][-1]
         self.print_fn(
-            f"[epoch {epoch + 1}/{self._num_epochs}] "
+            f"[epoch {epoch + 1}/{loop.num_epochs}] "
             + " | ".join(parts)
             + f" | {elapsed:.2f}s"
         )
@@ -273,12 +101,12 @@ class ProgressReporter(Callback):
 class Checkpointer(Callback):
     """Snapshots training state to a :class:`CheckpointManager`.
 
-    Saves every ``every`` epochs and — so early-stopped or completed runs
-    always leave a current checkpoint — once more at train end if the
-    last epoch was not already on the cadence.  Each checkpoint bundles
-    the ``state_provider``'s :meth:`state_dict` with the loop's own state
+    Saves every ``every`` epochs and — so a finished run always leaves a
+    current checkpoint — once more at train end if the last epoch was
+    not already on the cadence.  Each checkpoint bundles the
+    ``state_provider``'s :meth:`state_dict` with the loop's own state
     (epoch counter, loss history, timings), which is exactly what
-    :meth:`TrainingLoop.resume` needs.
+    :meth:`TrainingLoop.load_state_dict` needs to resume.
 
     When a :class:`NumericalHealthGuard` runs in the same callback list,
     attach it *before* this checkpointer: a guard that requested a
@@ -299,14 +127,12 @@ class Checkpointer(Callback):
         manager: "CheckpointManager",
         state_provider: "TrainingState",
         every: int = 1,
-        save_on_train_end: bool = True,
     ) -> None:
         if every < 1:
             raise ValueError(f"every must be >= 1, got {every}")
         self.manager = manager
         self.state_provider = state_provider
         self.every = every
-        self.save_on_train_end = save_on_train_end
         self._last_saved_step: int | None = None
         self.write_errors = 0
 
@@ -359,11 +185,7 @@ class Checkpointer(Callback):
 
     def on_train_end(self, loop) -> None:
         step = loop.epochs_completed
-        if (
-            self.save_on_train_end
-            and step > 0
-            and self._last_saved_step != step
-        ):
+        if step > 0 and self._last_saved_step != step:
             self._save(loop, step)
 
 

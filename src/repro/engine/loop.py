@@ -1,21 +1,23 @@
 """The shared training loop: epochs of named phases, observed by callbacks.
 
 Algorithm 1 of the paper alternates a single-view skip-gram step and a
-cross-view dual-learning step inside one outer loop; the SGNS baselines
-are the degenerate case of a single phase.  :class:`TrainingLoop` models
+cross-view dual-learning step inside one outer loop; every baseline is
+the degenerate case of a single phase.  :class:`TrainingLoop` models
 exactly that shape — an ordered list of :class:`Phase` objects executed
-once per epoch — and owns the bookkeeping every trainer used to hand-roll:
-loss history, per-phase wall-clock timing, early stopping, learning-rate
-scheduling, and progress reporting all attach as
-:class:`~repro.engine.callbacks.Callback` hooks.
+once per epoch — and keeps the bookkeeping every trainer used to
+hand-roll itself: the loss history and one wall-clock reading per phase,
+which feed :class:`LoopResult`, the ``phase/<name>/*`` metrics and every
+:class:`~repro.engine.callbacks.Callback` (progress reporting, health
+guards, checkpointing).
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
-from repro.engine.callbacks import Callback, EpochLogs, LossHistory, PhaseTimer
+from repro.engine.callbacks import Callback, EpochLogs
 from repro.engine.observability import (
     NULL_REGISTRY,
     NULL_TRACER,
@@ -74,8 +76,8 @@ class SkipGramPhase(Phase):
     """Streams a :class:`~repro.engine.pipeline.BatchSource` through a
     :class:`~repro.skipgram.trainer.SkipGramTrainer`.
 
-    The learning rate lives on the phase (``self.lr``) so scheduling
-    callbacks can adjust it between epochs.
+    The learning rate lives on the phase (``self.lr``) so a rollback
+    health guard can halve it between epochs.
     """
 
     def __init__(
@@ -96,7 +98,6 @@ class SkipGramPhase(Phase):
             loss = self.trainer.train_batch(
                 batch.centers, batch.contexts, batch.negatives, lr=self.lr
             )
-            loop.notify_batch(epoch, self, batches, loss)
             total += loss
             batches += 1
         if batches == 0:
@@ -109,20 +110,20 @@ class LoopResult:
     """What a finished :meth:`TrainingLoop.run` hands back.
 
     Attributes:
-        history: phase name -> one named-loss dict per epoch.
-        timings: phase name -> cumulative wall-clock seconds.
+        history: phase name -> one named-loss dict per epoch (empty
+            dicts mark epochs where the phase reported nothing, e.g. a
+            cross-view step that found no trainable paths).
+        timings: phase name -> cumulative wall-clock seconds (rolled-back
+            epochs included: that time was spent).
         epoch_timings: phase name -> per-epoch wall-clock seconds.
         epochs_run: total epochs the history covers — executed epochs
-            plus, on a resumed run, the restored ones (may be fewer than
-            requested when a callback stopped the run).
-        stopped_early: whether a callback requested the stop.
+            plus, on a resumed run, the restored ones.
     """
 
     history: dict[str, list[dict[str, float]]] = field(default_factory=dict)
     timings: dict[str, float] = field(default_factory=dict)
     epoch_timings: dict[str, list[float]] = field(default_factory=dict)
     epochs_run: int = 0
-    stopped_early: bool = False
 
     def series(self, phase_name: str, loss_name: str = "loss") -> list[float]:
         """One loss as a flat series, skipping epochs that lack it."""
@@ -136,15 +137,19 @@ class LoopResult:
 class TrainingLoop:
     """Runs phases for a number of epochs, firing callbacks throughout.
 
+    The loop records each phase's losses in :attr:`history` and times
+    each phase once, into :attr:`timings` (cumulative) and
+    :attr:`epoch_timings` (per kept epoch), before the callbacks'
+    ``on_phase_end`` fires.
+
     Args:
         phases: the ordered per-epoch work units.
-        callbacks: user hooks; a :class:`LossHistory` and a
-            :class:`PhaseTimer` are always attached internally (first in
-            the firing order) to populate the :class:`LoopResult`.
+        callbacks: hooks fired in list order.
         metrics: a :class:`~repro.engine.observability.MetricsRegistry`
             the loop publishes into (``phase/<name>/<loss>`` series,
-            ``phase/<name>/seconds`` timings, rollback/stop counters and
-            events).  Defaults to the no-op :data:`NULL_REGISTRY`.
+            ``phase/<name>/seconds`` timings, rollback counters and
+            events, the ``loop/epochs_completed`` gauge).  Defaults to
+            the no-op :data:`NULL_REGISTRY`.
         tracer: a :class:`~repro.engine.observability.Tracer` receiving
             run → epoch → phase spans.  Defaults to :data:`NULL_TRACER`.
     """
@@ -162,42 +167,27 @@ class TrainingLoop:
         if len(set(names)) != len(names):
             raise ValueError(f"phase names must be unique, got {names}")
         self.phases = list(phases)
-        self._loss_history = LossHistory()
-        self._timer = PhaseTimer()
-        self.callbacks: list[Callback] = [
-            self._loss_history,
-            self._timer,
-            *callbacks,
-        ]
+        self.callbacks: list[Callback] = list(callbacks)
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
         self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.history: dict[str, list[dict[str, float]]] = {}
+        self.timings: dict[str, float] = {}
+        self.epoch_timings: dict[str, list[float]] = {}
         self.num_epochs = 0
-        self.stop_requested = False
         self.retry_requested = False
         self.epochs_completed = 0
 
     # ------------------------------------------------------------------
-    def request_stop(self) -> None:
-        """Ask the loop to stop after the current epoch completes."""
-        self.stop_requested = True
-
     def request_retry(self) -> None:
         """Ask the loop to re-run the current epoch instead of advancing.
 
         Meant for callbacks that restored a snapshot after a failed epoch
         (see :class:`~repro.engine.callbacks.NumericalHealthGuard`): the
-        loop fires ``on_epoch_rollback`` on every callback — so history
-        and timing records of the discarded epoch are dropped — and then
+        loop drops the discarded epoch's history and per-epoch timing
+        entries, fires ``on_epoch_rollback`` on every callback, and then
         executes the same epoch index again.
         """
         self.retry_requested = True
-
-    def notify_batch(
-        self, epoch: int, phase: Phase, batch_index: int, loss: float
-    ) -> None:
-        """Fire ``on_batch_end`` (called by phases that see batches)."""
-        for callback in self.callbacks:
-            callback.on_batch_end(self, epoch, phase, batch_index, loss)
 
     # ------------------------------------------------------------------
     # checkpoint/resume support
@@ -209,19 +199,13 @@ class TrainingLoop:
         match an uninterrupted run."""
         return {
             "epochs_completed": self.epochs_completed,
-            "history": {
-                name: [dict(entry) for entry in entries]
-                for name, entries in self._loss_history.history.items()
-            },
-            "timings": dict(self._timer.totals),
-            "epoch_timings": {
-                name: list(values)
-                for name, values in self._timer.epochs.items()
-            },
+            **self._records(),
         }
 
     def load_state_dict(self, state: dict) -> None:
-        """Restore a snapshot produced by :meth:`state_dict`."""
+        """Restore a snapshot produced by :meth:`state_dict`; a following
+        ``run(num_epochs, start_epoch=state["epochs_completed"])``
+        continues the run."""
         missing = {"epochs_completed", "history", "timings", "epoch_timings"}
         missing -= set(state)
         if missing:
@@ -229,27 +213,62 @@ class TrainingLoop:
                 f"loop state is missing keys: {sorted(missing)}"
             )
         self.epochs_completed = int(state["epochs_completed"])
-        self._loss_history.history = {
+        self.history = {
             name: [dict(entry) for entry in entries]
             for name, entries in state["history"].items()
         }
-        self._timer.totals = dict(state["timings"])
-        self._timer.epochs = {
+        self.timings = dict(state["timings"])
+        self.epoch_timings = {
             name: list(values)
             for name, values in state["epoch_timings"].items()
         }
 
-    def resume(self, num_epochs: int, state: dict) -> LoopResult:
-        """Restore ``state`` and continue to ``num_epochs`` total epochs.
-
-        The returned :class:`LoopResult` covers the *whole* run — the
-        restored epochs plus the freshly executed ones — so a resumed
-        run's history is directly comparable to an uninterrupted run's.
-        """
-        self.load_state_dict(state)
-        return self.run(num_epochs, start_epoch=self.epochs_completed)
+    def _records(self) -> dict:
+        """Copies of the history and timing records."""
+        return {
+            "history": {
+                name: [dict(entry) for entry in entries]
+                for name, entries in self.history.items()
+            },
+            "timings": dict(self.timings),
+            "epoch_timings": {
+                name: list(values)
+                for name, values in self.epoch_timings.items()
+            },
+        }
 
     # ------------------------------------------------------------------
+    def _run_phase(self, phase: Phase, epoch: int) -> dict[str, float]:
+        """Run, time and record one phase of one epoch."""
+        for callback in self.callbacks:
+            callback.on_phase_begin(self, epoch, phase)
+        with self.tracer.span(phase.name, kind="phase", epoch=epoch):
+            start = time.perf_counter()
+            losses = phase.run(self, epoch)
+            seconds = time.perf_counter() - start
+        self.history.setdefault(phase.name, []).append(dict(losses))
+        self.timings[phase.name] = self.timings.get(phase.name, 0.0) + seconds
+        self.epoch_timings.setdefault(phase.name, []).append(seconds)
+        for callback in self.callbacks:
+            callback.on_phase_end(self, epoch, phase, losses)
+        if self.metrics.enabled:
+            for loss_name, value in losses.items():
+                self.metrics.observe(f"phase/{phase.name}/{loss_name}", value)
+            self.metrics.observe(f"phase/{phase.name}/seconds", seconds)
+        return losses
+
+    def _roll_back(self, epoch: int) -> None:
+        """Discard the epoch a callback asked to retry."""
+        self.retry_requested = False
+        # cumulative timings keep the retried epoch: its time was spent
+        for records in (*self.history.values(), *self.epoch_timings.values()):
+            if records:
+                records.pop()
+        for callback in self.callbacks:
+            callback.on_epoch_rollback(self, epoch)
+        self.metrics.counter("loop/rollbacks")
+        self.metrics.event("epoch_rollback", epoch=epoch)
+
     def run(self, num_epochs: int, start_epoch: int = 0) -> LoopResult:
         """Execute epochs ``start_epoch..num_epochs-1`` and return the
         result (``start_epoch > 0`` is the resume path — the loop assumes
@@ -261,7 +280,6 @@ class TrainingLoop:
                 f"start_epoch must be in [0, {num_epochs}], got {start_epoch}"
             )
         self.num_epochs = num_epochs
-        self.stop_requested = False
         self.retry_requested = False
         self.epochs_completed = start_epoch
         for callback in self.callbacks:
@@ -276,57 +294,20 @@ class TrainingLoop:
                 ) as epoch_span:
                     for callback in self.callbacks:
                         callback.on_epoch_begin(self, epoch)
-                    logs: EpochLogs = {}
-                    for phase in self.phases:
-                        for callback in self.callbacks:
-                            callback.on_phase_begin(self, epoch, phase)
-                        with self.tracer.span(
-                            phase.name, kind="phase", epoch=epoch
-                        ) as phase_span:
-                            losses = phase.run(self, epoch)
-                        for callback in self.callbacks:
-                            callback.on_phase_end(self, epoch, phase, losses)
-                        logs[phase.name] = losses
-                        if self.metrics.enabled:
-                            for loss_name, value in losses.items():
-                                self.metrics.observe(
-                                    f"phase/{phase.name}/{loss_name}", value
-                                )
-                            if phase_span is not None:
-                                self.metrics.observe(
-                                    f"phase/{phase.name}/seconds",
-                                    phase_span.duration_s,
-                                )
+                    logs: EpochLogs = {
+                        phase.name: self._run_phase(phase, epoch)
+                        for phase in self.phases
+                    }
                     for callback in self.callbacks:
                         callback.on_epoch_end(self, epoch, logs)
-                    if self.retry_requested:
-                        if epoch_span is not None:
-                            epoch_span.attributes["rolled_back"] = True
+                    if self.retry_requested and epoch_span is not None:
+                        epoch_span.attributes["rolled_back"] = True
                 if self.retry_requested:
-                    self.retry_requested = False
-                    for callback in self.callbacks:
-                        callback.on_epoch_rollback(self, epoch)
-                    self.metrics.counter("loop/rollbacks")
-                    self.metrics.event("epoch_rollback", epoch=epoch)
+                    self._roll_back(epoch)
                     continue
                 epoch += 1
                 self.epochs_completed = epoch
-                if self.stop_requested:
-                    self.metrics.event("early_stop", epoch=epoch)
-                    break
         for callback in self.callbacks:
             callback.on_train_end(self)
         self.metrics.gauge("loop/epochs_completed", self.epochs_completed)
-        return LoopResult(
-            history={
-                name: list(entries)
-                for name, entries in self._loss_history.history.items()
-            },
-            timings=dict(self._timer.totals),
-            epoch_timings={
-                name: list(values)
-                for name, values in self._timer.epochs.items()
-            },
-            epochs_run=self.epochs_completed,
-            stopped_early=self.stop_requested,
-        )
+        return LoopResult(**self._records(), epochs_run=self.epochs_completed)

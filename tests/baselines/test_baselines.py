@@ -199,3 +199,79 @@ class TestLINE:
         g.add_node("a", "t")
         with pytest.raises(ValueError):
             LINE(**FAST_KW).fit(g)
+
+
+# the three methods whose epochs are one CallablePhase each
+_PHASE_OF = {"R-GCN": "rgcn", "SimplE": "simple", "HIN2VEC": "hin2vec"}
+
+
+def _loop_method(name, **kw):
+    args = dict(epochs=3, **FAST_KW, **kw)
+    if name == "R-GCN":
+        return RGCN(**args)
+    if name == "SimplE":
+        return SimplE(**args)
+    return HIN2Vec(walk_length=6, walks_per_node=2, **args)
+
+
+class TestEpochsRunThroughTheLoop:
+    """R-GCN, SimplE and HIN2VEC train through the engine loop, so the
+    callbacks, the health guard and the run report see their epochs."""
+
+    @pytest.mark.parametrize("name", sorted(_PHASE_OF))
+    def test_progress_reporter_prints_every_epoch(self, toy, name):
+        from repro.engine import ProgressReporter
+
+        graph, _ = toy
+        lines = []
+        method = _loop_method(name)
+        method.callbacks.append(ProgressReporter(print_fn=lines.append))
+        method.fit(graph)
+        assert [line.split("]")[0] for line in lines] == [
+            "[epoch 1/3",
+            "[epoch 2/3",
+            "[epoch 3/3",
+        ]
+        assert all(f"{_PHASE_OF[name]} loss=" in line for line in lines)
+
+    @pytest.mark.parametrize("name", sorted(_PHASE_OF))
+    def test_last_run_covers_every_epoch(self, toy, name):
+        graph, _ = toy
+        method = _loop_method(name)
+        method.fit(graph)
+        run = method.last_run_
+        assert run.epochs_run == 3
+        losses = run.series(_PHASE_OF[name])
+        assert len(losses) == 3
+        assert all(np.isfinite(losses)) and min(losses) > 0
+        assert len(run.epoch_timings[_PHASE_OF[name]]) == 3
+
+    @pytest.mark.parametrize("name", sorted(_PHASE_OF))
+    def test_health_guard_raises_on_nan_loss(self, toy, name):
+        from repro.engine import NumericalHealthError
+
+        graph, _ = toy
+        method = _loop_method(name, lr=float("nan"))
+        method.attach_health_guard("raise")
+        with pytest.raises(NumericalHealthError, match="non-finite"):
+            method.fit(graph)
+
+    @pytest.mark.parametrize("name", sorted(_PHASE_OF))
+    def test_report_holds_phase_series_and_epoch_gauge(
+        self, toy, name, tmp_path
+    ):
+        from repro.engine import load_report
+
+        graph, _ = toy
+        path = tmp_path / "run.json"
+        _loop_method(name, report=path).fit(graph)
+        document = load_report(path)
+        phase = _PHASE_OF[name]
+        series = document["metrics"]["series"]
+        assert series[f"phase/{phase}/loss"]["count"] == 3
+        assert series[f"phase/{phase}/seconds"]["count"] == 3
+        assert document["metrics"]["gauges"]["loop/epochs_completed"] == 3
+        run = document["trace"]["spans"][0]
+        assert run["kind"] == "run"
+        assert [e["kind"] for e in run["children"]] == ["epoch"] * 3
+        assert run["children"][0]["children"][0]["name"] == phase

@@ -6,10 +6,7 @@ import pytest
 from repro.engine import (
     Callback,
     CallablePhase,
-    EarlyStopping,
-    LinearLRDecay,
-    LossHistory,
-    PhaseTimer,
+    MetricsRegistry,
     ProgressReporter,
     SkipGramPhase,
     TrainingLoop,
@@ -30,9 +27,6 @@ class RecordingCallback(Callback):
 
     def on_phase_begin(self, loop, epoch, phase):
         self.events.append(f"phase_begin:{epoch}:{phase.name}")
-
-    def on_batch_end(self, loop, epoch, phase, batch_index, loss):
-        self.events.append(f"batch_end:{epoch}:{phase.name}:{batch_index}")
 
     def on_phase_end(self, loop, epoch, phase, losses):
         self.events.append(f"phase_end:{epoch}:{phase.name}")
@@ -69,42 +63,19 @@ class TestCallbackOrder:
             "train_end",
         ]
 
-    def test_batch_hooks_fire_between_phase_bounds(self):
-        recorder = RecordingCallback()
-
-        def fake_sgns(loop, epoch):
-            phase = loop.phases[0]
-            for b in range(3):
-                loop.notify_batch(epoch, phase, b, 0.5)
-            return 0.5
-
-        TrainingLoop(
-            [CallablePhase("sgns", fake_sgns)], callbacks=[recorder]
-        ).run(1)
-        assert recorder.events == [
-            "train_begin",
-            "epoch_begin:0",
-            "phase_begin:0:sgns",
-            "batch_end:0:sgns:0",
-            "batch_end:0:sgns:1",
-            "batch_end:0:sgns:2",
-            "phase_end:0:sgns",
-            "epoch_end:0",
-            "train_end",
-        ]
-
     def test_internal_history_and_timer_fire_before_user_callbacks(self):
         seen = {}
 
         class Peek(Callback):
             def on_phase_end(self, loop, epoch, phase, losses):
-                # the internal LossHistory already recorded this phase
-                seen["recorded"] = len(loop.callbacks[0].history[phase.name])
+                # the loop already recorded this phase's losses and time
+                seen["history"] = list(loop.history[phase.name])
+                seen["timed"] = len(loop.epoch_timings[phase.name])
 
         TrainingLoop(
             [CallablePhase("p", lambda loop, epoch: 1.0)], callbacks=[Peek()]
         ).run(1)
-        assert seen["recorded"] == 1
+        assert seen == {"history": [{"loss": 1.0}], "timed": 1}
 
 
 class TestLoopBasics:
@@ -128,7 +99,6 @@ class TestLoopBasics:
         )
         result = loop.run(3)
         assert result.epochs_run == 3
-        assert not result.stopped_early
         assert result.series("p") == [3.0, 2.0, 1.0]
         assert result.history["p"] == [
             {"loss": 3.0},
@@ -157,101 +127,71 @@ class TestLoopBasics:
         assert result.history["empty"] == [{}]
         assert result.history["named"] == [{"t": 1.0, "r": 2.0}]
 
-
-class TestEarlyStopping:
-    def test_stops_after_patience_without_improvement(self):
-        losses = iter([5.0, 4.0, 4.0, 4.0, 4.0, 4.0, 4.0, 4.0])
-        stopper = EarlyStopping(phase="p", patience=2)
-        result = TrainingLoop(
-            [CallablePhase("p", lambda l, e: next(losses))],
-            callbacks=[stopper],
-        ).run(8)
-        # epochs 0,1 improve; 2 and 3 are stale -> stop after epoch 3
-        assert result.stopped_early
-        assert result.epochs_run == 4
-        assert stopper.stopped_epoch == 3
-
-    def test_runs_to_completion_when_improving(self):
-        losses = iter([5.0, 4.0, 3.0, 2.0, 1.0])
-        result = TrainingLoop(
-            [CallablePhase("p", lambda l, e: next(losses))],
-            callbacks=[EarlyStopping(phase="p", patience=2)],
-        ).run(5)
-        assert not result.stopped_early
-        assert result.epochs_run == 5
-
-    def test_min_delta_counts_tiny_improvements_as_stale(self):
-        losses = iter([5.0, 4.999, 4.998, 4.997])
-        result = TrainingLoop(
-            [CallablePhase("p", lambda l, e: next(losses))],
-            callbacks=[EarlyStopping(phase="p", patience=2, min_delta=0.1)],
-        ).run(4)
-        assert result.stopped_early
-        assert result.epochs_run == 3
-
-    def test_missing_phase_losses_are_ignored(self):
-        result = TrainingLoop(
-            [CallablePhase("p", lambda l, e: None)],
-            callbacks=[EarlyStopping(phase="p", patience=1)],
-        ).run(4)
-        assert not result.stopped_early
-        assert result.epochs_run == 4
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            EarlyStopping(phase="p", patience=0)
-        with pytest.raises(ValueError):
-            EarlyStopping(phase="p", min_delta=-1.0)
-
-
-class TestLRDecay:
-    def test_linear_schedule_reaches_end_lr(self):
-        seen = []
-
-        class FakeSkipGram(CallablePhase):
-            def __init__(self):
-                super().__init__("sgns", lambda l, e: seen.append(self.lr))
-                self.lr = 0.0
-
-        phase = FakeSkipGram()
-        TrainingLoop(
-            [phase],
-            callbacks=[
-                LinearLRDecay(["sgns"], start_lr=0.1, end_lr=0.01, num_epochs=4)
-            ],
-        ).run(4)
-        assert seen[0] == pytest.approx(0.1)
-        assert seen[-1] == pytest.approx(0.01)
-        assert seen == sorted(seen, reverse=True)
-
-    def test_only_named_phases_touched(self):
-        class LrPhase(CallablePhase):
-            def __init__(self, name):
-                super().__init__(name, lambda l, e: 0.0)
-                self.lr = 1.0
-
-        scheduled, untouched = LrPhase("a"), LrPhase("b")
-        TrainingLoop(
-            [scheduled, untouched],
-            callbacks=[
-                LinearLRDecay(["a"], start_lr=0.5, end_lr=0.5, num_epochs=2)
-            ],
-        ).run(2)
-        assert scheduled.lr == pytest.approx(0.5)
-        assert untouched.lr == 1.0
-
-
-class TestLossHistoryCallback:
     def test_series_skips_epochs_without_the_loss(self):
-        history = LossHistory()
         values = iter([{"loss": 1.0}, {}, {"loss": 0.5}])
-        TrainingLoop(
-            [CallablePhase("p", lambda l, e: next(values))],
-            callbacks=[history],
-        ).run(3)
-        assert history.series("p") == [1.0, 0.5]
-        assert len(history.history["p"]) == 3
+        loop = TrainingLoop([CallablePhase("p", lambda l, e: next(values))])
+        result = loop.run(3)
+        assert result.series("p") == [1.0, 0.5]
+        assert len(result.history["p"]) == 3
+        assert loop.history == result.history
 
+    def test_one_clock_feeds_result_and_metrics(self):
+        # phase/<name>/seconds needs no tracer, and it is the very reading
+        # the result's timings add up
+        registry = MetricsRegistry()
+        result = TrainingLoop(
+            [CallablePhase("a", lambda l, e: 0.0)], metrics=registry
+        ).run(3)
+        seconds = registry.series_values("phase/a/seconds")
+        assert seconds == result.epoch_timings["a"]
+        assert result.timings["a"] == pytest.approx(sum(seconds))
+        assert registry.gauges["loop/epochs_completed"] == 3.0
+
+    def test_state_dict_keys_and_round_trip(self):
+        loop = TrainingLoop([CallablePhase("p", lambda l, e: 1.0)])
+        loop.run(2)
+        state = loop.state_dict()
+        assert set(state) == {
+            "epochs_completed",
+            "history",
+            "timings",
+            "epoch_timings",
+        }
+        resumed = TrainingLoop([CallablePhase("p", lambda l, e: 2.0)])
+        resumed.load_state_dict(state)
+        result = resumed.run(3, start_epoch=state["epochs_completed"])
+        assert result.epochs_run == 3
+        assert result.series("p") == [1.0, 1.0, 2.0]
+        assert len(result.epoch_timings["p"]) == 3
+        assert result.timings["p"] >= state["timings"]["p"]
+
+
+class TestRollback:
+    def test_discarded_epoch_leaves_no_records(self):
+        attempts = []
+
+        class RetryOnce(Callback):
+            def on_epoch_end(self, loop, epoch, logs):
+                if epoch == 1 and attempts.count(1) == 1:
+                    loop.request_retry()
+
+            def on_epoch_rollback(self, loop, epoch):
+                # the loop dropped the discarded epoch before this fires
+                attempts.append(("rolled", len(loop.history["p"])))
+
+        def phase(loop, epoch):
+            attempts.append(epoch)
+            return float(len(attempts))
+
+        result = TrainingLoop(
+            [CallablePhase("p", phase)], callbacks=[RetryOnce()]
+        ).run(3)
+        assert attempts == [0, 1, ("rolled", 1), 1, 2]
+        assert result.epochs_run == 3
+        assert result.series("p") == [1.0, 4.0, 5.0]
+        assert len(result.epoch_timings["p"]) == 3
+        # the retried epoch's time was spent, so the total keeps it
+        assert result.timings["p"] >= sum(result.epoch_timings["p"])
 
 class TestProgressReporter:
     def test_prints_one_line_per_epoch(self):
@@ -263,6 +203,22 @@ class TestProgressReporter:
         assert len(lines) == 2
         assert "[epoch 1/2]" in lines[0]
         assert "loss=1.5000" in lines[0]
+
+    def test_epoch_seconds_come_from_the_loop(self):
+        lines = []
+        loop = TrainingLoop(
+            [
+                CallablePhase("a", lambda l, e: 0.0),
+                CallablePhase("b", lambda l, e: 0.0),
+            ],
+            callbacks=[ProgressReporter(print_fn=lines.append)],
+        )
+        loop.run(2)
+        for epoch, line in enumerate(lines):
+            elapsed = sum(
+                loop.epoch_timings[name][epoch] for name in ("a", "b")
+            )
+            assert line.endswith(f" | {elapsed:.2f}s")
 
 
 class TestSkipGramPhaseIntegration:

@@ -72,6 +72,12 @@ class TestServingImports:
         assert not _matching(loaded, "scipy", "networkx", "repro.core")
 
 
+class TestCliImports:
+    def test_cli_loads_no_walk_engine(self):
+        loaded = _loaded_after("import repro.cli")
+        assert not _matching(loaded, "repro.walks")
+
+
 class TestCoreImports:
     def test_core_loads_no_optimizer(self):
         loaded = _loaded_after("import repro.core")
