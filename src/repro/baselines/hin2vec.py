@@ -20,10 +20,11 @@ from pathlib import Path
 import numpy as np
 
 from repro.engine import CallablePhase
-from repro.graph.heterograph import HeteroGraph, NodeId
+from repro.graph.csr import csr_adjacency
+from repro.graph.heterograph import HeteroGraph
 
 from repro.baselines.base import EmbeddingMethod, Embeddings
-from repro.nn.optim import RowSGD, segment_sum
+from repro.nn.optim import RowSGD, check_lr, segment_sum
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -59,33 +60,38 @@ class HIN2Vec(EmbeddingMethod):
         )
         if max_hops < 1:
             raise ValueError("max_hops must be >= 1")
-        if lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
         self.max_hops = max_hops
         self.walk_length = walk_length
         self.walks_per_node = walks_per_node
         self.num_negatives = num_negatives
         self.epochs = epochs
-        self.lr = lr
+        self.lr = check_lr(lr)
         self.batch_size = batch_size
         self.relation_vocabulary: dict[tuple[str, ...], int] = {}
 
     # ------------------------------------------------------------------
     def _typed_walk(
-        self, graph: HeteroGraph, start: NodeId, rng: np.random.Generator
+        self,
+        adjacency: tuple[list[int], list[int], list[str]],
+        start: int,
+        rng: np.random.Generator,
     ) -> tuple[list[int], list[str]]:
-        """A uniform walk that also records the edge types it traverses."""
-        nodes = [graph.index_of(start)]
+        """A uniform walk from node index ``start`` that also records the
+        edge types it traverses: one uniform draw over the node's CSR
+        slots per step.  ``adjacency`` is ``(indptr, indices, slot edge
+        types)`` as lists."""
+        indptr, indices, slot_types = adjacency
+        nodes = [start]
         types: list[str] = []
         current = start
         for _ in range(self.walk_length - 1):
-            incident = graph.incident(current)
-            if not incident:
+            first, stop = indptr[current], indptr[current + 1]
+            if first == stop:
                 break
-            nbr, _, edge_type = incident[int(rng.integers(len(incident)))]
-            nodes.append(graph.index_of(nbr))
-            types.append(edge_type)
-            current = nbr
+            slot = first + int(rng.integers(stop - first))
+            current = indices[slot]
+            nodes.append(current)
+            types.append(slot_types[slot])
         return nodes, types
 
     def _collect_pairs(
@@ -95,11 +101,16 @@ class HIN2Vec(EmbeddingMethod):
         xs: list[int] = []
         ys: list[int] = []
         rels: list[int] = []
-        for node in graph.nodes:
-            if graph.degree(node) == 0:
-                continue
+        csr = csr_adjacency(graph)
+        names = csr.edge_type_names
+        adjacency = (
+            csr.indptr.tolist(),
+            csr.indices.tolist(),
+            [names[code] for code in csr.slot_edge_type_codes.tolist()],
+        )
+        for start in np.flatnonzero(csr.degrees).tolist():
             for _ in range(self.walks_per_node):
-                nodes, types = self._typed_walk(graph, node, rng)
+                nodes, types = self._typed_walk(adjacency, start, rng)
                 for i in range(len(nodes)):
                     for hops in range(1, self.max_hops + 1):
                         j = i + hops

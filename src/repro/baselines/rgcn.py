@@ -21,6 +21,7 @@ from repro.autograd import Tensor, sigmoid
 from repro.engine import CallablePhase
 from repro.graph.heterograph import HeteroGraph
 from repro.nn import Adam, Linear, Module
+from repro.nn.optim import check_lr
 
 from repro.baselines.base import EmbeddingMethod, Embeddings
 
@@ -70,7 +71,7 @@ class RGCN(EmbeddingMethod):
         )
         self.hidden_dim = hidden_dim or dim
         self.epochs = epochs
-        self.lr = lr
+        self.lr = check_lr(lr)
         self.num_negatives = num_negatives
         self.edges_per_epoch = edges_per_epoch
 

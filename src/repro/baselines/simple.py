@@ -25,6 +25,7 @@ from repro.graph.heterograph import HeteroGraph
 
 from repro.baselines.base import EmbeddingMethod, Embeddings
 from repro.baselines.hin2vec import _logistic_loss, _mean_update, _sigmoid
+from repro.nn.optim import check_lr
 
 
 class SimplE(EmbeddingMethod):
@@ -49,11 +50,9 @@ class SimplE(EmbeddingMethod):
         )
         if dim % 2:
             raise ValueError("SimplE needs an even dim (head/tail halves)")
-        if lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
         self.half_dim = dim // 2
         self.epochs = epochs
-        self.lr = lr
+        self.lr = check_lr(lr)
         self.num_negatives = num_negatives
         self.batch_size = batch_size
         self.l2 = l2

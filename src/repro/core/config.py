@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from repro.walks.policies import POLICY_NAMES
@@ -180,11 +181,11 @@ class TransNConfig:
             f"must be >= walk_floor ({self.walk_floor})",
         )
         require(self.num_iterations >= 1, "num_iterations", "must be >= 1")
-        require(self.lr_single > 0, "lr_single", "must be > 0")
-        require(self.lr_cross > 0, "lr_cross", "must be > 0")
-        require(
-            self.lr_cross_embeddings > 0, "lr_cross_embeddings", "must be > 0"
-        )
+        for name in ("lr_single", "lr_cross", "lr_cross_embeddings"):
+            rate = getattr(self, name)
+            require(
+                math.isfinite(rate) and rate > 0, name, "must be finite and > 0"
+            )
         require(self.num_negatives >= 1, "num_negatives", "must be >= 1")
         require(self.num_encoders >= 1, "num_encoders", "must be >= 1")
         require(self.cross_path_len >= 2, "cross_path_len", "must be >= 2")

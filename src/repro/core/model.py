@@ -36,6 +36,7 @@ from repro.engine import faults
 from repro.engine.parallel import ParallelRuntime, pair_rng
 from repro.graph.heterograph import HeteroGraph, NodeId
 from repro.graph.views import build_view_pairs, separate_views
+from repro.nn.optim import check_lr
 from repro.walks import WalkPolicy, make_policy
 
 from repro.core.config import TransNConfig
@@ -93,9 +94,7 @@ class _CrossViewPhase(Phase):
 
     @lr.setter
     def lr(self, value: float) -> None:
-        if value <= 0:
-            raise ValueError(f"lr must be > 0, got {value}")
-        factor = value / self._lr
+        factor = check_lr(value) / self._lr
         for trainer in self._model.cross_trainers:
             trainer.scale_learning_rates(factor)
         self._lr = value
@@ -157,16 +156,10 @@ class TransN:
         node_init = self.rng.uniform(
             -bound, bound, size=(graph.num_nodes, cfg.dim)
         ).astype(cfg.resolved_dtype, copy=False)
-        self.view_embeddings: dict[str, np.ndarray] = {}
-        for view in self.views:
-            matrix = np.empty(
-                (view.num_nodes, cfg.dim), dtype=cfg.resolved_dtype
-            )
-            for node in view.graph.nodes:
-                matrix[view.graph.index_of(node)] = node_init[
-                    graph.index_of(node)
-                ]
-            self.view_embeddings[view.edge_type] = matrix
+        self.view_embeddings: dict[str, np.ndarray] = {
+            view.edge_type: node_init[graph.indices_of(view.graph.nodes)]
+            for view in self.views
+        }
 
         # workers >= 1 follows the sharded seed law (repro.engine.parallel)
         self._parallel = (

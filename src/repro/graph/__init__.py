@@ -4,10 +4,10 @@ This subpackage provides the typed-graph data structures that every other
 part of the reproduction builds on:
 
 - :class:`~repro.graph.heterograph.HeteroGraph` — an undirected graph whose
-  nodes carry a node type and whose edges carry an edge type and a positive
-  weight (Definition 1 of the paper).
+  nodes carry a node type and whose edges carry an edge type and a finite
+  positive weight (Definition 1 of the paper), stored as one edge table.
 - :mod:`~repro.graph.views` — view separation by edge type, view-pairs, and
-  paired-subviews (Definitions 2-5).
+  paired-subviews (Definitions 2-5), as masks over the edge table.
 - :class:`~repro.graph.alias.AliasSampler` — O(1) discrete sampling used by
   every random-walk engine.
 - :mod:`~repro.graph.csr` — the flat (cached, per-graph) CSR adjacency

@@ -48,29 +48,21 @@ class CSRAdjacency:
     def __init__(self, graph: HeteroGraph) -> None:
         self.graph = graph
         n = graph.num_nodes
-        degrees = np.fromiter(
-            (graph.degree(node) for node in graph.nodes),
-            dtype=np.int64,
-            count=n,
-        )
-        self.degrees = degrees
-        self.indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(degrees, out=self.indptr[1:])
-        num_slots = int(self.indptr[-1])
-        self.indices = np.empty(num_slots, dtype=np.int64)
-        self.weights = np.empty(num_slots, dtype=np.float64)
-        index_of = graph.index_of
-        pos = 0
-        for node in graph.nodes:
-            for nbr, weight, _ in graph.incident(node):
-                self.indices[pos] = index_of(nbr)
-                self.weights[pos] = weight
-                pos += 1
+        # one stable argsort of the interleaved [u0, v0, u1, v1, ...]
+        # endpoints (HeteroGraph.incidence) is node-major, insertion
+        # order within a node: exactly the incident-list order
+        table = graph.edge_table()
+        self.indptr, slots = graph.incidence()
+        self.degrees = np.diff(self.indptr)
+        self.indices = table.ends.ravel()[slots ^ 1]
+        self._slot_edges = slots >> 1
+        self.weights = table.weights[self._slot_edges]
+        num_slots = self.indices.size
 
         # per-node reductions over the weight segments
         self.weight_sums = np.zeros(n, dtype=np.float64)
         self.delta = np.zeros(n, dtype=np.float64)
-        nonempty = degrees > 0
+        nonempty = self.degrees > 0
         if num_slots:
             starts = self.indptr[:-1][nonempty]
             self.weight_sums[nonempty] = np.add.reduceat(self.weights, starts)
@@ -167,15 +159,13 @@ class CSRAdjacency:
 
     def _edge_type_table(self) -> tuple[np.ndarray, tuple[str, ...]]:
         if self._slot_edge_types is None:
-            graph = self.graph
-            names = tuple(sorted(graph.edge_types))
-            code = {name: k for k, name in enumerate(names)}
-            codes = np.empty(self.indices.size, dtype=np.int64)
-            pos = 0
-            for node in graph.nodes:
-                for _, _, edge_type in graph.incident(node):
-                    codes[pos] = code[edge_type]
-                    pos += 1
+            table = self.graph.edge_table()
+            names = tuple(sorted(table.type_names))
+            rank = np.array(
+                [names.index(name) for name in table.type_names],
+                dtype=np.int64,
+            )
+            codes = rank[table.type_codes[self._slot_edges]]
             self._slot_edge_types = (codes, names)
         return self._slot_edge_types
 

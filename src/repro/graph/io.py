@@ -31,8 +31,10 @@ reason.
 
 from __future__ import annotations
 
+import math
 import os
 from contextlib import contextmanager
+from itertools import repeat
 from pathlib import Path
 from typing import IO, Iterator, Mapping
 
@@ -81,49 +83,141 @@ def save_graph(graph: HeteroGraph, path: str | Path) -> None:
             )
 
 
+#: fields per record kind, and the names after the kind
+_RECORD_FIELDS = {
+    "node": (3, "node_id, node_type"),
+    "edge": (5, "u, v, edge_type, weight"),
+}
+
+
 def load_graph(path: str | Path) -> HeteroGraph:
     """Read a graph written by :func:`save_graph`.
 
+    The file is read as a whole: one pass splits the records, then the
+    edge checks run over columns.  A node record must come before the
+    first edge that names it.
+
     Raises:
-        ValueError: on malformed records or unknown record kinds; the
-            message names the file, line number, and what was wrong.
+        ValueError: on a malformed record, an unknown record kind, a
+            retyped node, an edge weight that is not a finite positive
+            number, a self loop or an unknown endpoint; the message
+            names the file and line of the first bad record in file
+            order, and what was wrong.
     """
-    graph = HeteroGraph()
     path = Path(path)
     with path.open() as handle:
-        for line_number, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            kind = parts[0]
-            if kind == "node":
-                if len(parts) != 3:
-                    raise ValueError(
-                        f"{path}:{line_number}: node records need 3 fields "
-                        f"(node_id, node_type), got {len(parts)}"
-                    )
-                graph.add_node(parts[1], parts[2])
-            elif kind == "edge":
-                if len(parts) != 5:
-                    raise ValueError(
-                        f"{path}:{line_number}: edge records need 5 fields "
-                        f"(u, v, edge_type, weight), got {len(parts)}"
-                    )
-                try:
-                    weight = float(parts[4])
-                except ValueError:
-                    raise ValueError(
-                        f"{path}:{line_number}: edge weight {parts[4]!r} "
-                        "is not a number"
-                    ) from None
-                graph.add_edge(parts[1], parts[2], parts[3], weight=weight)
-            else:
-                raise ValueError(
-                    f"{path}:{line_number}: unknown record kind {kind!r} "
-                    "(expected 'node' or 'edge')"
+        lines = handle.read().split("\n")
+    node_type: dict[str, str] = {}
+    node_lines: list[int] = []
+    edge_records: list[list[str]] = []
+    edge_lines: list[int] = []
+    # a malformed record or a retyped node ends the scan; an earlier bad
+    # edge still takes precedence
+    stop: str | None = None
+    for line_number, line in enumerate(lines, start=1):
+        if not line or line[0] == "#":
+            continue
+        parts = line.split("\t")
+        kind = parts[0]
+        if kind == "edge" and len(parts) == 5:
+            edge_records.append(parts)
+            edge_lines.append(line_number)
+        elif kind == "node" and len(parts) == 3:
+            node, kind_of_node = parts[1], parts[2]
+            existing = node_type.get(node)
+            if existing is None:
+                node_type[node] = kind_of_node
+                node_lines.append(line_number)
+            elif existing != kind_of_node:
+                stop = (
+                    f"{path}:{line_number}: node {node!r} already has type "
+                    f"{existing!r}; cannot retype it to {kind_of_node!r}"
                 )
-    return graph
+                break
+        elif kind in _RECORD_FIELDS:
+            fields, names = _RECORD_FIELDS[kind]
+            stop = (
+                f"{path}:{line_number}: {kind} records need {fields} fields "
+                f"({names}), got {len(parts)}"
+            )
+            break
+        else:
+            stop = (
+                f"{path}:{line_number}: unknown record kind {kind!r} "
+                "(expected 'node' or 'edge')"
+            )
+            break
+
+    _, us, vs, types, weight_fields = (
+        zip(*edge_records) if edge_records else ((),) * 5
+    )
+    # the first field that is no number ends the columns: every record
+    # after it is later in the file
+    try:
+        weights = list(map(float, weight_fields))
+    except ValueError:
+        weights = []
+        for field in weight_fields:
+            try:
+                weights.append(float(field))
+            except ValueError:
+                break
+    count = len(weights)
+    nodes = list(node_type)
+    index = dict(zip(nodes, range(len(nodes))))
+    ends = np.empty((count, 2), dtype=np.int64)
+    for side, names in enumerate((us, vs)):
+        ends[:, side] = np.fromiter(
+            map(index.get, names[:count], repeat(-1)), np.int64, count
+        )
+    weight_column = np.array(weights, dtype=np.float64)
+    line_column = np.array(edge_lines[:count], dtype=np.int64)
+    # an endpoint is known once its node record is above the edge's line;
+    # the entry past the last node serves the -1 of a node never defined
+    defined_at = np.array(node_lines + [line_column.max(initial=0) + 1])
+    known = defined_at[ends] < line_column[:, None]
+    bad = (
+        ~(np.isfinite(weight_column) & (weight_column > 0))
+        | (ends[:, 0] == ends[:, 1])
+        | ~known.all(axis=1)
+    )
+    if bad.any():
+        k = int(np.argmax(bad))
+        where = f"{path}:{edge_lines[k]}"
+        u, v, weight = us[k], vs[k], weights[k]
+        if not (math.isfinite(weight) and weight > 0):
+            raise ValueError(
+                f"{where}: edge weight must be finite and positive, "
+                f"got {weight}"
+            )
+        if u == v:
+            raise ValueError(
+                f"{where}: self loops are not allowed (node {u!r})"
+            )
+        missing = u if not known[k, 0] else v
+        raise ValueError(
+            f"{where}: unknown node {missing!r}; its node record must come "
+            "before its first edge"
+        )
+    if count < len(edge_records):
+        raise ValueError(
+            f"{path}:{edge_lines[count]}: edge weight "
+            f"{weight_fields[count]!r} is not a number"
+        )
+    if stop is not None:
+        raise ValueError(stop)
+
+    # codes in first-appearance order
+    code = {name: k for k, name in enumerate(dict.fromkeys(types))}
+    type_codes = np.fromiter(map(code.__getitem__, types), np.int64, count)
+    return HeteroGraph._from_columns(
+        nodes,
+        list(node_type.values()),
+        ends,
+        type_codes,
+        weight_column,
+        list(code),
+    )
 
 
 def save_embeddings(

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.graph.heterograph import HeteroGraph, NodeId
 
 
@@ -93,15 +95,22 @@ def separate_views(graph: HeteroGraph) -> list[View]:
 
     The returned views partition the edge set: their edge sets are disjoint
     and their union is E (Equation 1 of the paper).  Views are ordered by
-    edge-type name for determinism.
+    edge-type name for determinism; each keeps its edges in graph order
+    and lists its nodes in first-appearance order (``u``, then ``v``, per
+    edge).  A view is one type mask over the edge table.
     """
     if graph.num_edges == 0:
         raise ValueError("cannot separate views of a graph with no edges")
-    views = []
-    for edge_type in sorted(graph.edge_types):
-        edges = graph.edges_of_type(edge_type)
-        views.append(View(edge_type, graph.subgraph_of_edges(edges)))
-    return views
+    table = graph.edge_table()
+    return [
+        View(
+            edge_type,
+            graph.subgraph_of_edge_mask(
+                table.type_codes == table.type_names.index(edge_type)
+            ),
+        )
+        for edge_type in sorted(table.type_names)
+    ]
 
 
 def build_view_pairs(views: list[View]) -> list[ViewPair]:
@@ -129,15 +138,20 @@ def paired_subviews(pair: ViewPair) -> tuple[View, View]:
     M_ij and discard the neighbours the prose keeps.  We therefore implement
     the union ``M_ij ∪ A_ij``: the common nodes plus all nodes adjacent to a
     common node, inside each view separately.
+
+    The reduction is two masks over each view's edge table: the common
+    nodes, widened by every endpoint of an edge that touches one; the
+    subview keeps the view's node and edge order.
     """
-    common = pair.common_nodes
     subviews = []
     for view in (pair.view_i, pair.view_j):
-        # View.nodes builds a fresh frozenset on every access
-        shared = common & view.nodes
-        keep = set(shared)
-        for node in shared:
-            keep.update(view.graph.neighbors(node))
-        sub = view.graph.subgraph_of_nodes(keep)
+        graph = view.graph
+        shared = np.zeros(graph.num_nodes, dtype=bool)
+        indices = graph.indices_of(pair.common_nodes)
+        shared[indices[indices >= 0]] = True
+        ends = graph.edge_table().ends
+        keep = shared.copy()
+        keep[ends[shared[ends].any(axis=1)]] = True
+        sub = graph.subgraph_of_node_mask(keep)
         subviews.append(View(view.edge_type, sub))
     return subviews[0], subviews[1]

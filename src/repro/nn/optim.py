@@ -93,6 +93,23 @@ def _narrow_keys(rows: np.ndarray) -> np.ndarray:
     return rows
 
 
+def check_lr(lr: float) -> float:
+    """Return ``lr`` if it is a finite positive number.
+
+    The one learning-rate check of the optimizers and the baselines:
+    ``lr <= 0`` alone lets NaN through, which trains every parameter to
+    NaN.
+
+    Raises:
+        ValueError: for NaN, infinite, zero or negative ``lr``.
+    """
+    if not (math.isfinite(lr) and lr > 0):
+        raise ValueError(
+            f"learning rate must be finite and positive, got {lr}"
+        )
+    return lr
+
+
 def gradient_norm(grads: Iterable[np.ndarray | None]) -> float:
     """The global L2 norm over a collection of gradient arrays.
 
@@ -121,9 +138,7 @@ class Optimizer:
         self.parameters = list(parameters)
         if not self.parameters:
             raise ValueError("optimizer received no parameters")
-        if lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
-        self.lr = lr
+        self.lr = check_lr(lr)
 
     def zero_grad(self) -> None:
         for param in self.parameters:
@@ -278,10 +293,8 @@ class RowOptimizer:
     def __init__(self, matrix: np.ndarray, lr: float) -> None:
         if matrix.ndim != 2:
             raise ValueError("row optimizers need a 2-D matrix")
-        if lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
         self.matrix = matrix
-        self.lr = lr
+        self.lr = check_lr(lr)
 
     def update(
         self, rows: np.ndarray, grads: np.ndarray, lr: float | None = None

@@ -106,6 +106,12 @@ class TestCommonContract:
         with pytest.raises(ValueError, match="learning rate"):
             method(lr=0.0)
 
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("method", [HIN2Vec, SimplE, RGCN])
+    def test_non_finite_lr_rejected(self, method, lr):
+        with pytest.raises(ValueError, match="finite and positive"):
+            method(lr=lr)
+
 
 class TestQuality:
     """Every trained method must separate communities better than chance."""
@@ -247,11 +253,14 @@ class TestEpochsRunThroughTheLoop:
         assert len(run.epoch_timings[_PHASE_OF[name]]) == 3
 
     @pytest.mark.parametrize("name", sorted(_PHASE_OF))
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_health_guard_raises_on_nan_loss(self, toy, name):
         from repro.engine import NumericalHealthError
 
         graph, _ = toy
-        method = _loop_method(name, lr=float("nan"))
+        # a finite learning rate so large that the first updates overflow
+        # (a NaN one is rejected at construction)
+        method = _loop_method(name, lr=1e300)
         method.attach_health_guard("raise")
         with pytest.raises(NumericalHealthError, match="non-finite"):
             method.fit(graph)

@@ -89,6 +89,8 @@ class TestConstructionValidation:
             ("lr_single", 0.0),
             ("lr_cross", -0.01),
             ("lr_cross_embeddings", 0.0),
+            ("lr_single", float("nan")),
+            ("lr_cross", float("inf")),
             ("num_negatives", 0),
             ("num_encoders", 0),
             ("cross_path_len", 1),

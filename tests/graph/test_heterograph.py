@@ -61,6 +61,15 @@ class TestConstruction:
             with pytest.raises(ValueError, match="positive"):
                 g.add_edge("a", "b", "e", weight=bad)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_weight_rejected(self, bad):
+        g = HeteroGraph()
+        g.add_node("a", "t")
+        g.add_node("b", "t")
+        with pytest.raises(ValueError, match="finite and positive"):
+            g.add_edge("a", "b", "e", weight=bad)
+        assert g.num_edges == 0
+
     def test_from_edges(self):
         g = HeteroGraph.from_edges(
             [("a", "b", "e", 1.0), ("b", "c", "f", 2.0)],

@@ -167,6 +167,55 @@ class TestMalformedRows:
         with pytest.raises(ValueError, match=r"g\.tsv:3:.*not a number"):
             load_graph(path)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "0", "-1.5"])
+    def test_non_finite_or_non_positive_weight_rejected(self, tmp_path, bad):
+        path = tmp_path / "g.tsv"
+        path.write_text(f"node\ta\tt\nnode\tb\tt\nedge\ta\tb\te\t{bad}\n")
+        with pytest.raises(
+            ValueError, match=r"g\.tsv:3: edge weight must be finite and positive"
+        ):
+            load_graph(path)
+
+    def test_unknown_endpoint_names_file_and_line(self, tmp_path):
+        path = tmp_path / "g.tsv"
+        path.write_text("node\ta\tt\nnode\tb\tt\n\nedge\ta\tc\te\t1.0\n")
+        with pytest.raises(ValueError, match=r"g\.tsv:4: unknown node 'c'"):
+            load_graph(path)
+
+    def test_node_record_after_its_first_edge_is_unknown(self, tmp_path):
+        path = tmp_path / "g.tsv"
+        path.write_text("node\ta\tt\nedge\ta\tb\te\t1.0\nnode\tb\tt\n")
+        with pytest.raises(ValueError, match=r"g\.tsv:2: unknown node 'b'"):
+            load_graph(path)
+
+    def test_self_loop_names_file_and_line(self, tmp_path):
+        path = tmp_path / "g.tsv"
+        path.write_text("node\ta\tt\n# c\nedge\ta\ta\te\t1.0\n")
+        with pytest.raises(ValueError, match=r"g\.tsv:3: self loops"):
+            load_graph(path)
+
+    def test_retyped_node_names_file_and_line(self, tmp_path):
+        path = tmp_path / "g.tsv"
+        path.write_text("node\ta\tt\nnode\tb\tt\nnode\ta\tu\n")
+        with pytest.raises(
+            ValueError, match=r"g\.tsv:3: node 'a' already has type 't'"
+        ):
+            load_graph(path)
+
+    def test_first_bad_record_in_file_order_is_reported(self, tmp_path):
+        path = tmp_path / "g.tsv"
+        path.write_text(
+            "node\ta\tt\nnode\tb\tt\n"
+            "edge\ta\tb\te\t1.0\n"
+            "edge\ta\tb\te\tnan\n"  # line 4: the first bad record
+            "edge\ta\tzz\te\t1.0\n"
+            "edge\ta\tb\te\tx\n"
+            "node\ta\tu\n"
+            "vertex\n"
+        )
+        with pytest.raises(ValueError, match=r"g\.tsv:4: edge weight must"):
+            load_graph(path)
+
     def test_bad_embedding_header_names_line(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("x 3\na 1 2 3\n")

@@ -131,14 +131,16 @@ class TestPairedSubviews:
 
 
 @st.composite
-def random_hetero_graphs(draw):
-    """Small random typed multigraphs for property testing."""
+def random_graph_inputs(draw):
+    """``(edges, node_types)`` of a small random typed multigraph, with
+    parallel edges and isolated nodes."""
     num_nodes = draw(st.integers(min_value=2, max_value=12))
     num_types = draw(st.integers(min_value=1, max_value=3))
     node_types = {
         f"n{i}": f"t{draw(st.integers(0, num_types - 1))}"
         for i in range(num_nodes)
     }
+    weights = st.floats(min_value=0.1, max_value=10, allow_nan=False)
     num_edges = draw(st.integers(min_value=1, max_value=20))
     edges = []
     for _ in range(num_edges):
@@ -147,13 +149,25 @@ def random_hetero_graphs(draw):
         if u == v:
             continue
         etype = f"e{draw(st.integers(0, 2))}"
-        weight = draw(
-            st.floats(min_value=0.1, max_value=10, allow_nan=False)
-        )
-        edges.append((f"n{u}", f"n{v}", etype, weight))
+        edges.append((f"n{u}", f"n{v}", etype, draw(weights)))
     if not edges:
         edges.append(("n0", "n1", "e0", 1.0))
-    return HeteroGraph.from_edges(edges, node_types)
+    # parallel edges: a drawn pair again, either way round, any type
+    for _ in range(draw(st.integers(0, 4))):
+        u, v, _, _ = edges[draw(st.integers(0, len(edges) - 1))]
+        if draw(st.booleans()):
+            u, v = v, u
+        edges.append((u, v, f"e{draw(st.integers(0, 2))}", draw(weights)))
+    for k in range(draw(st.integers(0, 3))):
+        node_types[f"iso{k}"] = f"t{draw(st.integers(0, num_types - 1))}"
+    return edges, node_types
+
+
+def random_hetero_graphs():
+    """Small random typed multigraphs for property testing."""
+    return random_graph_inputs().map(
+        lambda inputs: HeteroGraph.from_edges(*inputs)
+    )
 
 
 class TestViewProperties:

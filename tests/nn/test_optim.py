@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.autograd import Tensor
-from repro.nn import SGD, Adam
+from repro.nn import SGD, Adam, RowAdam, RowSGD
 
 
 def quadratic_param(start):
@@ -29,6 +29,18 @@ class TestValidation:
         p = quadratic_param([1.0])
         with pytest.raises(ValueError):
             SGD([p], lr=0.0)
+
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("make", [SGD, Adam])
+    def test_non_finite_lr_rejected(self, make, lr):
+        with pytest.raises(ValueError, match="finite and positive"):
+            make([quadratic_param([1.0])], lr=lr)
+
+    @pytest.mark.parametrize("lr", [0.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("make", [RowSGD, RowAdam])
+    def test_row_optimizers_reject_bad_lr(self, make, lr):
+        with pytest.raises(ValueError, match="finite and positive"):
+            make(np.zeros((3, 2)), lr=lr)
 
     def test_bad_momentum_rejected(self):
         p = quadratic_param([1.0])
