@@ -27,9 +27,9 @@ def main() -> None:
     graph, labels = make_app_daily()
     stats = compute_statistics(graph, "App-Daily (synthetic)", labels)
     print("Dataset:", stats.as_row())
-    weights = [e.weight for e in graph.edges]
+    weights = graph.edge_table().weights
     print(
-        f"Edge weights: min={min(weights):.2f} max={max(weights):.2f} "
+        f"Edge weights: min={weights.min():.2f} max={weights.max():.2f} "
         f"(taste levels, not unit)\n"
     )
 

@@ -29,6 +29,18 @@ from repro.walks.corpus import WalkCorpus
 Embeddings = dict[NodeId, np.ndarray]
 
 
+def edge_triples(
+    graph: HeteroGraph,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(heads, tails, relations)``: the index columns of ``graph``'s
+    edges, in edge order; relation ``r`` is ``sorted(graph.edge_types)[r]``
+    (what the knowledge-graph baselines index their relation rows by)."""
+    table = graph.edge_table()
+    rank = {name: r for r, name in enumerate(sorted(table.type_names))}
+    remap = np.array([rank[name] for name in table.type_names], dtype=np.int64)
+    return table.ends[:, 0], table.ends[:, 1], remap[table.type_codes]
+
+
 class EmbeddingMethod(ABC):
     """A network-embedding method: ``fit(graph) -> {node: vector}``.
 

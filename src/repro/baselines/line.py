@@ -44,7 +44,7 @@ class LINE(EmbeddingMethod):
         self.batch_size = batch_size
 
     def fit(self, graph: HeteroGraph) -> Embeddings:
-        if not graph.edges:
+        if graph.num_edges == 0:
             raise ValueError("LINE needs at least one edge")
         rng = self._rng()
         matrix = self._init_matrix(graph.num_nodes, rng)

@@ -23,7 +23,7 @@ from repro.graph.heterograph import HeteroGraph
 from repro.nn import Adam, Linear, Module
 from repro.nn.optim import check_lr
 
-from repro.baselines.base import EmbeddingMethod, Embeddings
+from repro.baselines.base import EmbeddingMethod, Embeddings, edge_triples
 
 
 class _RGCNLayer(Module):
@@ -80,11 +80,12 @@ class RGCN(EmbeddingMethod):
         graph: HeteroGraph, edge_type: str
     ) -> np.ndarray:
         n = graph.num_nodes
+        table = graph.edge_table()
+        code = table.type_names.index(edge_type)
+        i, j = table.ends[table.type_codes == code].T
         a = np.zeros((n, n))
-        for edge in graph.edges_of_type(edge_type):
-            i, j = graph.index_of(edge.u), graph.index_of(edge.v)
-            a[i, j] += 1.0  # unit weights: R-GCN ignores weights
-            a[j, i] += 1.0
+        np.add.at(a, (i, j), 1.0)  # unit weights: R-GCN ignores weights
+        np.add.at(a, (j, i), 1.0)
         row_sums = a.sum(axis=1, keepdims=True)
         row_sums[row_sums == 0] = 1.0
         return a / row_sums
@@ -113,19 +114,15 @@ class RGCN(EmbeddingMethod):
         )
         optimizer = Adam(params, lr=self.lr)
 
-        rel_index = {t: i for i, t in enumerate(edge_types)}
-        edges = graph.edges
-        heads = np.array([graph.index_of(e.u) for e in edges], dtype=np.int64)
-        tails = np.array([graph.index_of(e.v) for e in edges], dtype=np.int64)
-        rels = np.array([rel_index[e.edge_type] for e in edges], dtype=np.int64)
+        heads, tails, rels = edge_triples(graph)
 
         final: np.ndarray | None = None
 
         def train_epoch(loop, epoch: int) -> float:
             nonlocal final
             h = layer2(layer1(features).relu())
-            batch = min(self.edges_per_epoch, len(edges))
-            pick = rng.choice(len(edges), size=batch, replace=False)
+            batch = min(self.edges_per_epoch, heads.size)
+            pick = rng.choice(heads.size, size=batch, replace=False)
             pos_h, pos_t, pos_r = heads[pick], tails[pick], rels[pick]
             # negatives: corrupt the tail uniformly
             neg_t = rng.integers(n, size=batch * self.num_negatives)

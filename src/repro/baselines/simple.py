@@ -23,7 +23,7 @@ import numpy as np
 from repro.engine import CallablePhase
 from repro.graph.heterograph import HeteroGraph
 
-from repro.baselines.base import EmbeddingMethod, Embeddings
+from repro.baselines.base import EmbeddingMethod, Embeddings, edge_triples
 from repro.baselines.hin2vec import _logistic_loss, _mean_update, _sigmoid
 from repro.nn.optim import check_lr
 
@@ -61,7 +61,6 @@ class SimplE(EmbeddingMethod):
         rng = self._rng()
         n = graph.num_nodes
         edge_types = sorted(graph.edge_types)
-        rel_index = {t: i for i, t in enumerate(edge_types)}
 
         scale = 6.0 / np.sqrt(self.half_dim)
         head = rng.uniform(-scale, scale, size=(n, self.half_dim))
@@ -73,15 +72,12 @@ class SimplE(EmbeddingMethod):
             -scale, scale, size=(len(edge_types), self.half_dim)
         )
 
-        edges = graph.edges
-        us = np.array([graph.index_of(e.u) for e in edges], dtype=np.int64)
-        vs = np.array([graph.index_of(e.v) for e in edges], dtype=np.int64)
-        rs = np.array([rel_index[e.edge_type] for e in edges], dtype=np.int64)
+        us, vs, rs = edge_triples(graph)
 
         def train_epoch(loop, epoch: int) -> float | None:
-            order = rng.permutation(len(edges))
+            order = rng.permutation(us.size)
             total, scored = 0.0, 0
-            for start in range(0, len(edges), self.batch_size):
+            for start in range(0, us.size, self.batch_size):
                 pick = order[start : start + self.batch_size]
                 b = pick.size
                 batches = [(us[pick], vs[pick], rs[pick], np.ones(b))]

@@ -423,8 +423,7 @@ class EdgeSamplingPipeline:
         batch_size: int = 256,
         rng: np.random.Generator | None = None,
     ) -> None:
-        edges = graph.edges
-        if not edges:
+        if graph.num_edges == 0:
             raise ValueError("edge sampling needs at least one edge")
         if num_samples < 1:
             raise ValueError(f"num_samples must be >= 1, got {num_samples}")
@@ -432,13 +431,10 @@ class EdgeSamplingPipeline:
         self.num_negatives = num_negatives
         self.batch_size = batch_size
         self.rng = rng or np.random.default_rng()
-        self._edge_sampler = AliasSampler([e.weight for e in edges])
-        self._sources = np.array(
-            [graph.index_of(e.u) for e in edges], dtype=np.int64
-        )
-        self._targets = np.array(
-            [graph.index_of(e.v) for e in edges], dtype=np.int64
-        )
+        table = graph.edge_table()
+        self._edge_sampler = AliasSampler(table.weights)
+        self._sources = table.ends[:, 0]
+        self._targets = table.ends[:, 1]
         # weighted degrees come precomputed (reduceat over the CSR weight
         # segments) from the adjacency cache shared with the walkers
         degrees = csr_adjacency(graph).weight_sums

@@ -41,29 +41,56 @@ def make_split(
     removal_fraction: float = 0.4,
     seed: int = 0,
 ) -> LinkPredictionSplit:
-    """Build the train graph + positive/negative evaluation pairs."""
+    """Build the train graph + positive/negative evaluation pairs.
+
+    The removed edges are ``rng.choice`` draws of edge indices.  Negative
+    candidates are drawn as ``(u, v)`` index pairs, ``u`` then ``v``, and
+    the first non-adjacent pairs of distinct nodes are kept, at most
+    ``100 ×`` as many draws as positives.  Candidates are drawn in chunks
+    of one ``rng.integers`` call each; the pairs come out as they would
+    one scalar draw at a time.
+    """
     if not 0.0 < removal_fraction < 1.0:
         raise ValueError("removal_fraction must be in (0, 1)")
     rng = np.random.default_rng(seed)
-    edges = list(graph.edges)
-    num_remove = max(1, int(round(removal_fraction * len(edges))))
-    removed_idx = rng.choice(len(edges), size=num_remove, replace=False)
-    removed = [edges[int(i)] for i in removed_idx]
+    table = graph.edge_table()
+    num_edges = graph.num_edges
+    num_remove = max(1, int(round(removal_fraction * num_edges)))
+    removed_idx = rng.choice(num_edges, size=num_remove, replace=False)
+    removed = np.zeros(num_edges, dtype=bool)
+    removed[removed_idx] = True
     train_graph = graph.without_edges(removed)
 
-    positives = [(e.u, e.v) for e in removed]
-    nodes = list(graph.nodes)
-    negatives: list[tuple[NodeId, NodeId]] = []
-    attempts = 0
-    while len(negatives) < len(positives) and attempts < 100 * len(positives):
-        attempts += 1
-        u = nodes[int(rng.integers(len(nodes)))]
-        v = nodes[int(rng.integers(len(nodes)))]
-        if u != v and not graph.has_edge(u, v):
-            negatives.append((u, v))
-    if len(negatives) < len(positives):
+    n = graph.num_nodes
+    # one key per edge's unordered pair, sorted for a searchsorted test
+    low, high = np.sort(table.ends, axis=1).T
+    adjacent = np.sort(low * n + high)
+    found: list[np.ndarray] = []
+    missing, draws_left = num_remove, 100 * num_remove
+    while missing and draws_left:
+        size = min(draws_left, 2 * missing + 64)
+        pairs = rng.integers(n, size=(size, 2))
+        draws_left -= size
+        low, high = np.sort(pairs, axis=1).T
+        keys = low * n + high
+        at = np.minimum(np.searchsorted(adjacent, keys), adjacent.size - 1)
+        keep = pairs[(low != high) & (adjacent[at] != keys)][:missing]
+        found.append(keep)
+        missing -= keep.shape[0]
+    if missing:
         raise RuntimeError("could not sample enough non-adjacent pairs")
-    return LinkPredictionSplit(train_graph, positives, negatives)
+
+    ids = np.fromiter(graph.nodes, dtype=object, count=n)
+
+    def named(pairs: np.ndarray) -> list[tuple[NodeId, NodeId]]:
+        us, vs = ids[pairs].T.tolist()
+        return list(zip(us, vs))
+
+    return LinkPredictionSplit(
+        train_graph,
+        named(table.ends[removed_idx]),
+        named(np.concatenate(found)),
+    )
 
 
 def run_link_prediction(

@@ -42,37 +42,32 @@ def inject_noise_edges(
     """Copy ``graph`` and add ``fraction * |E_type|`` random edges.
 
     New edges reuse ``edge_type`` and connect uniformly random node pairs
-    whose types match an existing edge of that type (so the view stays a
-    valid homo-/heter-view).  Weights are drawn uniformly from the
-    existing weight range.
+    whose node types are those of the first edge of that type (so the
+    view stays a valid homo-/heter-view).  Weights are drawn uniformly
+    from the existing weight range.
     """
     if fraction < 0:
         raise ValueError("fraction must be >= 0")
-    existing = graph.edges_of_type(edge_type)
-    if not existing:
+    table = graph.edge_table()
+    if edge_type not in table.type_names:
         raise ValueError(f"graph has no edges of type {edge_type!r}")
     rng = np.random.default_rng(seed)
 
-    end_types = {
-        frozenset((graph.node_type(e.u), graph.node_type(e.v)))
-        for e in existing
-    }
-    weights = np.array([e.weight for e in existing])
+    of_type = table.type_codes == table.type_names.index(edge_type)
+    weights = table.weights[of_type]
     lo, hi = float(weights.min()), float(weights.max())
+    first = table.ends[np.argmax(of_type)].tolist()
 
-    noisy = HeteroGraph()
-    for node in graph.nodes:
-        noisy.add_node(node, graph.node_type(node))
-    for edge in graph.edges:
-        noisy.add_edge(edge.u, edge.v, edge.edge_type, edge.weight)
+    # a copy: remove no edge
+    noisy = graph.without_edges(np.zeros(graph.num_edges, dtype=bool))
 
-    type_pair = sorted(next(iter(end_types)))
+    type_pair = sorted({graph.node_type(graph.node_at(i)) for i in first})
     if len(type_pair) == 1:
         side_a = side_b = graph.nodes_of_type(type_pair[0])
     else:
         side_a = graph.nodes_of_type(type_pair[0])
         side_b = graph.nodes_of_type(type_pair[1])
-    num_new = int(round(fraction * len(existing)))
+    num_new = int(round(fraction * weights.size))
     added = 0
     attempts = 0
     while added < num_new and attempts < 100 * max(num_new, 1):

@@ -10,52 +10,21 @@ consistent.
 
 Internally nodes are mapped to dense integer indices, and the edges live
 in one table of columns (:class:`EdgeTable`): endpoint indices, an
-edge-type code and a weight per edge, in insertion order.  Views,
-paired-subviews and the CSR layout are built from these columns with
-array operations; :class:`Edge` objects and per-node incident lists are
-derived from them on demand.
+edge-type code and a weight per edge, in insertion order.  There is no
+per-edge object: views, paired-subviews, the link-prediction split and
+the CSR layout are built from these columns with array operations and
+edge masks, and per-node incident lists are derived from them on demand.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import repeat
 from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 NodeId = Hashable
-
-
-@dataclass(frozen=True)
-class Edge:
-    """A single undirected edge.
-
-    ``u`` and ``v`` are node IDs; the edge is stored once with ``u`` and
-    ``v`` in insertion order but represents the unordered pair ``{u, v}``.
-    """
-
-    u: NodeId
-    v: NodeId
-    edge_type: str
-    weight: float = 1.0
-
-    def endpoints(self) -> tuple[NodeId, NodeId]:
-        """Return the unordered endpoints in insertion order."""
-        return (self.u, self.v)
-
-    def other(self, node: NodeId) -> NodeId:
-        """Return the endpoint that is not ``node``.
-
-        Raises:
-            ValueError: if ``node`` is not an endpoint of this edge.
-        """
-        if node == self.u:
-            return self.v
-        if node == self.v:
-            return self.u
-        raise ValueError(f"node {node!r} is not an endpoint of {self!r}")
 
 
 class EdgeTable(NamedTuple):
@@ -115,8 +84,7 @@ class HeteroGraph:
         self._weights = np.empty(0, dtype=np.float64)
         self._type_names: list[str] = []
         self._type_code: dict[str, int] = {}
-        # derived on demand, see _edge_objects and incidence
-        self._edge_list: list[Edge] = []
+        # derived on demand, see incidence
         self._incidence_cache: tuple | None = None
 
     @classmethod
@@ -284,23 +252,6 @@ class HeteroGraph:
             )
         return cache[1], cache[2]
 
-    def _edge_objects(self) -> list[Edge]:
-        """The :class:`Edge` objects, made once per edge on first use, so
-        repeated :attr:`edges` calls hand out the same objects."""
-        edges = self._edge_list
-        first, stop = len(edges), self._num_edges
-        if first < stop:
-            nodes, names = self._nodes, self._type_names
-            edges.extend(
-                Edge(nodes[u], nodes[v], names[code], weight)
-                for (u, v), code, weight in zip(
-                    self._ends[first:stop].tolist(),
-                    self._type_codes[first:stop].tolist(),
-                    self._weights[first:stop].tolist(),
-                )
-            )
-        return edges
-
     def _segment(self, node: NodeId) -> tuple[np.ndarray, np.ndarray]:
         """``(neighbour indices, edge positions)`` of ``node``'s slots."""
         i = self._index[node]
@@ -324,11 +275,6 @@ class HeteroGraph:
     def nodes(self) -> Sequence[NodeId]:
         """All node IDs in insertion order."""
         return tuple(self._nodes)
-
-    @property
-    def edges(self) -> Sequence[Edge]:
-        """All edges in insertion order."""
-        return tuple(self._edge_objects())
 
     @property
     def node_types(self) -> frozenset[str]:
@@ -411,15 +357,6 @@ class HeteroGraph:
         """All node IDs whose type equals ``node_type``."""
         return [n for n in self._nodes if self._node_type[n] == node_type]
 
-    def edges_of_type(self, edge_type: str) -> list[Edge]:
-        """All edges whose type equals ``edge_type``."""
-        code = self._type_code.get(edge_type)
-        if code is None:
-            return []
-        edges = self._edge_objects()
-        positions = np.flatnonzero(self._type_codes[: self._num_edges] == code)
-        return [edges[e] for e in positions.tolist()]
-
     def has_edge(self, u: NodeId, v: NodeId) -> bool:
         """True if any edge connects ``u`` and ``v`` (any type)."""
         if u not in self._index or v not in self._index:
@@ -470,7 +407,6 @@ class HeteroGraph:
             _ends=self._ends[:e],
             _type_codes=self._type_codes[:e],
             _weights=self._weights[:e],
-            _edge_list=[],
             _incidence_cache=None,
         )
         return state
@@ -537,27 +473,6 @@ class HeteroGraph:
             self._type_names,
         )
 
-    def subgraph_of_edges(self, edges: Iterable[Edge]) -> "HeteroGraph":
-        """Graph induced by ``edges`` and their endpoints.
-
-        Node types are inherited from this graph; nodes are in
-        first-appearance order, as in :meth:`subgraph_of_edge_mask`.
-        """
-        edges = list(edges)
-        index = self._index
-        ends = np.array(
-            [(index[e.u], index[e.v]) for e in edges], dtype=np.int64
-        ).reshape(-1, 2)
-        names = sorted({e.edge_type for e in edges})
-        code = {name: k for k, name in enumerate(names)}
-        return self._subgraph(
-            _first_appearance(ends),
-            ends,
-            np.array([code[e.edge_type] for e in edges], dtype=np.int64),
-            np.array([e.weight for e in edges], dtype=np.float64),
-            names,
-        )
-
     def subgraph_of_nodes(self, nodes: Iterable[NodeId]) -> "HeteroGraph":
         """Graph induced by ``nodes`` and all edges between them."""
         mask = np.zeros(len(self._nodes), dtype=bool)
@@ -565,22 +480,17 @@ class HeteroGraph:
         mask[indices[indices >= 0]] = True
         return self.subgraph_of_node_mask(mask)
 
-    def without_edges(self, removed: Iterable[Edge]) -> "HeteroGraph":
-        """A copy of this graph with the given edges removed.
+    def without_edges(self, removed: np.ndarray) -> "HeteroGraph":
+        """A copy of this graph without the edges where the ``(E,)`` bool
+        mask ``removed`` is set.
 
-        ``removed`` must hold edge objects of this graph (from
-        :attr:`edges` or :meth:`edges_of_type`).  Nodes are all kept
-        (possibly isolated) so that every node still has an embedding
-        after training on the reduced graph — exactly what the
-        link-prediction protocol of Section IV-B2 needs.
+        Nodes are all kept (possibly isolated) so that every node still
+        has an embedding after training on the reduced graph — exactly
+        what the link-prediction protocol of Section IV-B2 needs.  Edges
+        keep their order, and the edge types their codes' order.
         """
-        removed_ids = {id(edge) for edge in removed}
+        kept = ~np.asarray(removed, dtype=bool)
         e = self._num_edges
-        kept = np.fromiter(
-            (id(edge) not in removed_ids for edge in self._edge_objects()),
-            dtype=bool,
-            count=e,
-        )
         return self._subgraph(
             np.arange(len(self._nodes)),
             self._ends[:e][kept],
@@ -596,8 +506,14 @@ class HeteroGraph:
         nxg = nx.MultiGraph()
         for node in self._nodes:
             nxg.add_node(node, node_type=self._node_type[node])
-        for edge in self._edge_objects():
+        nodes, names = self._nodes, self._type_names
+        e = self._num_edges
+        for (u, v), code, weight in zip(
+            self._ends[:e].tolist(),
+            self._type_codes[:e].tolist(),
+            self._weights[:e].tolist(),
+        ):
             nxg.add_edge(
-                edge.u, edge.v, edge_type=edge.edge_type, weight=edge.weight
+                nodes[u], nodes[v], edge_type=names[code], weight=weight
             )
         return nxg

@@ -74,12 +74,18 @@ def save_graph(graph: HeteroGraph, path: str | Path) -> None:
     with atomic_writer(path) as handle:
         handle.write("# node\tnode_id\tnode_type\n")
         handle.write("# edge\tu\tv\tedge_type\tweight\n")
-        for node in graph.nodes:
+        nodes = graph.nodes
+        for node in nodes:
             handle.write(f"node\t{node}\t{graph.node_type(node)}\n")
-        for edge in graph.edges:
+        table = graph.edge_table()
+        names = table.type_names
+        for (u, v), code, weight in zip(
+            table.ends.tolist(),
+            table.type_codes.tolist(),
+            table.weights.tolist(),
+        ):
             handle.write(
-                f"edge\t{edge.u}\t{edge.v}\t{edge.edge_type}\t"
-                f"{edge.weight!r}\n"
+                f"edge\t{nodes[u]}\t{nodes[v]}\t{names[code]}\t{weight!r}\n"
             )
 
 

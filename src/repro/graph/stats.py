@@ -5,6 +5,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.graph.heterograph import HeteroGraph
 
 
@@ -70,7 +72,9 @@ def compute_statistics(
             labelled node type are derived from it.
     """
     nodes_per_type = Counter(graph.node_type(n) for n in graph.nodes)
-    edges_per_type = Counter(e.edge_type for e in graph.edges)
+    table = graph.edge_table()
+    counts = np.bincount(table.type_codes, minlength=len(table.type_names))
+    edges_per_type = dict(zip(table.type_names, counts.tolist()))
     num_labeled = 0
     labeled_type = None
     if labels:
@@ -87,7 +91,7 @@ def compute_statistics(
         num_nodes=n,
         num_edges=m,
         nodes_per_type=dict(nodes_per_type),
-        edges_per_type=dict(edges_per_type),
+        edges_per_type=edges_per_type,
         num_labeled=num_labeled,
         labeled_type=labeled_type,
         density=density,

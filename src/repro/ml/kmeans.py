@@ -159,14 +159,13 @@ class KMeans:
         for _ in range(self.max_iter):
             assignment = _nearest_center(x, centers, (centers**2).sum(axis=1))
             order, starts, ends = _group_by_cell(assignment, self.num_clusters)
-            # each slice is the rows a mask assignment == k selects, in
-            # the same order, so its mean has the same bits; a cluster
+            # each cell gathers the rows a mask assignment == k selects,
+            # in the same order, so its mean has the same bits; a cluster
             # left empty keeps its center
-            grouped = x[order]
             new_centers = centers.copy()
             for k, (s, e) in enumerate(zip(starts.tolist(), ends.tolist())):
                 if e > s:
-                    new_centers[k] = grouped[s:e].mean(axis=0)
+                    new_centers[k] = x[order[s:e]].mean(axis=0)
             shift = np.linalg.norm(new_centers - centers)
             centers = new_centers
             if shift < self.tol:

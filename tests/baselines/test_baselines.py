@@ -19,6 +19,7 @@ from repro.baselines import (
     RandomEmbedding,
     SimplE,
 )
+from tests.graph.oracle import edge_rows
 
 FAST_KW = dict(dim=8, seed=0)
 
@@ -189,7 +190,7 @@ class TestRGCN:
         scaled = HeteroGraph()
         for node in graph.nodes:
             scaled.add_node(node, graph.node_type(node))
-        for e in graph.edges:
+        for e in edge_rows(graph):
             scaled.add_edge(e.u, e.v, e.edge_type, e.weight * 10)
         e1 = RGCN(epochs=5, **FAST_KW).fit(graph)
         e2 = RGCN(epochs=5, **FAST_KW).fit(scaled)

@@ -13,6 +13,7 @@ from repro.datasets import (
     type_imbalanced_graph,
 )
 from repro.graph import separate_views
+from tests.graph.oracle import edge_rows
 from repro.graph.csr import csr_adjacency
 
 
@@ -86,8 +87,8 @@ class TestDegreeSkewedGraph:
     def test_deterministic_per_seed(self):
         a, _ = degree_skewed_graph(seed=4)
         b, _ = degree_skewed_graph(seed=4)
-        assert [(e.u, e.v, e.edge_type) for e in a.edges] == [
-            (e.u, e.v, e.edge_type) for e in b.edges
+        assert [(e.u, e.v, e.edge_type) for e in edge_rows(a)] == [
+            (e.u, e.v, e.edge_type) for e in edge_rows(b)
         ]
 
     def test_no_isolated_items(self):
@@ -104,7 +105,7 @@ class TestDegreeSkewedGraph:
 class TestTypeImbalancedGraph:
     def test_shares_control_edge_split(self):
         graph, _ = type_imbalanced_graph(shares=(0.8, 0.15, 0.05), seed=1)
-        counts = Counter(e.edge_type for e in graph.edges)
+        counts = Counter(e.edge_type for e in edge_rows(graph))
         assert counts["II"] > counts["IT"] > counts["IC"]
 
     def test_three_views_all_nonempty(self):
@@ -117,7 +118,7 @@ class TestTypeImbalancedGraph:
 
     def test_balanced_shares_near_equal(self):
         graph, _ = type_imbalanced_graph(shares=(1, 1, 1), seed=1)
-        counts = Counter(e.edge_type for e in graph.edges)
+        counts = Counter(e.edge_type for e in edge_rows(graph))
         assert counts["II"] == counts["IT"]
 
     def test_validation(self):

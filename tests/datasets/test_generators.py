@@ -14,6 +14,7 @@ from repro.datasets import (
     make_blog,
 )
 from repro.graph import separate_views
+from tests.graph.oracle import edge_rows
 
 
 class TestAMiner:
@@ -26,22 +27,22 @@ class TestAMiner:
 
     def test_unit_weights(self):
         graph, _ = make_aminer()
-        assert all(e.weight == 1.0 for e in graph.edges)
+        assert all(e.weight == 1.0 for e in edge_rows(graph))
 
     def test_deterministic_given_seed(self):
         g1, l1 = make_aminer(AMinerConfig(seed=42))
         g2, l2 = make_aminer(AMinerConfig(seed=42))
         assert g1.num_edges == g2.num_edges
         assert l1 == l2
-        assert [e.endpoints() for e in g1.edges] == [
-            e.endpoints() for e in g2.edges
+        assert [(e.u, e.v) for e in edge_rows(g1)] == [
+            (e.u, e.v) for e in edge_rows(g2)
         ]
 
     def test_seeds_differ(self):
         g1, _ = make_aminer(AMinerConfig(seed=1))
         g2, _ = make_aminer(AMinerConfig(seed=2))
-        assert [e.endpoints() for e in g1.edges] != [
-            e.endpoints() for e in g2.edges
+        assert [(e.u, e.v) for e in edge_rows(g1)] != [
+            (e.u, e.v) for e in edge_rows(g2)
         ]
 
     def test_scalable(self):
@@ -77,7 +78,7 @@ class TestBlog:
 
     def test_unit_weights(self):
         graph, _ = make_blog()
-        assert all(e.weight == 1.0 for e in graph.edges)
+        assert all(e.weight == 1.0 for e in edge_rows(graph))
 
     def test_denser_than_appstore(self):
         """The paper: BLOG is far denser than the App-* networks."""
@@ -92,8 +93,8 @@ class TestBlog:
     def test_deterministic(self):
         g1, _ = make_blog(BlogConfig(seed=5))
         g2, _ = make_blog(BlogConfig(seed=5))
-        assert [e.endpoints() for e in g1.edges] == [
-            e.endpoints() for e in g2.edges
+        assert [(e.u, e.v) for e in edge_rows(g1)] == [
+            (e.u, e.v) for e in edge_rows(g2)
         ]
 
     def test_validation(self):
@@ -116,7 +117,7 @@ class TestAppStore:
     def test_weights_are_taste_levels(self):
         cfg = AppStoreConfig(taste_levels=5, weight_jitter=0.15)
         graph, _ = make_appstore(cfg)
-        weights = np.array([e.weight for e in graph.edges])
+        weights = np.array([e.weight for e in edge_rows(graph)])
         assert (weights > 0).all()
         assert weights.max() <= 5 + 1.0  # level cap plus jitter
         assert weights.std() > 0.5  # genuinely weighted

@@ -9,6 +9,7 @@ from repro.engine import (
     StreamingCorpusPipeline,
 )
 from repro.walks.corpus import WalkCorpus
+from tests.graph.oracle import edge_rows
 
 
 def _fixed_corpus():
@@ -137,7 +138,7 @@ class TestEdgeSamplingPipeline:
         pipeline = EdgeSamplingPipeline(triangle, num_samples=64, rng=rng)
         edge_set = {
             frozenset((triangle.index_of(e.u), triangle.index_of(e.v)))
-            for e in triangle.edges
+            for e in edge_rows(triangle)
         }
         for batch in pipeline.epoch():
             for c, x in zip(batch.centers, batch.contexts):

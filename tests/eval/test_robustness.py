@@ -8,6 +8,7 @@ from repro.datasets import make_appstore
 from repro.datasets.appstore import AppStoreConfig
 from repro.eval.robustness import inject_noise_edges, run_noise_sweep
 from repro.graph import HeteroGraph
+from tests.graph.oracle import edge_rows
 
 
 @pytest.fixture(scope="module")
@@ -19,9 +20,9 @@ def small_app():
 class TestInjectNoiseEdges:
     def test_adds_expected_count(self, small_app):
         graph, _ = small_app
-        baseline = len(graph.edges_of_type("AU"))
+        baseline = len(edge_rows(graph, "AU"))
         noisy = inject_noise_edges(graph, "AU", fraction=0.5, seed=0)
-        added = len(noisy.edges_of_type("AU")) - baseline
+        added = len(edge_rows(noisy, "AU")) - baseline
         assert added == round(0.5 * baseline)
 
     def test_original_untouched(self, small_app):
@@ -33,15 +34,15 @@ class TestInjectNoiseEdges:
     def test_respects_end_node_types(self, small_app):
         graph, _ = small_app
         noisy = inject_noise_edges(graph, "AU", fraction=0.5, seed=0)
-        for edge in noisy.edges_of_type("AU"):
+        for edge in edge_rows(noisy, "AU"):
             types = {noisy.node_type(edge.u), noisy.node_type(edge.v)}
             assert types == {"applet", "user"}
 
     def test_weights_in_existing_range(self, small_app):
         graph, _ = small_app
-        weights = [e.weight for e in graph.edges_of_type("AU")]
+        weights = [e.weight for e in edge_rows(graph, "AU")]
         noisy = inject_noise_edges(graph, "AU", fraction=0.5, seed=0)
-        for edge in noisy.edges_of_type("AU"):
+        for edge in edge_rows(noisy, "AU"):
             assert min(weights) <= edge.weight <= max(weights)
 
     def test_homo_edge_type(self):

@@ -6,14 +6,43 @@ paired-subviews filtered edge by edge, the CSR filled slot by slot and
 the TSV loader adding record after record.  ``repro.graph`` builds the
 same things from one edge table with array operations; the property
 tests in ``test_array_setup.py`` hold the two equal, byte for byte.
+:func:`edge_rows` reads a graph's edges back as one tuple per edge.
 """
 
 from __future__ import annotations
 
 import math
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
+
+
+class EdgeRow(NamedTuple):
+    """One edge of a ``HeteroGraph``, by node IDs and type name."""
+
+    u: object
+    v: object
+    edge_type: str
+    weight: float
+
+
+def edge_rows(graph, edge_type: str | None = None) -> list[EdgeRow]:
+    """``graph``'s edges (of ``edge_type`` only, when given) in edge
+    order, read from its ``edge_table()``."""
+    table = graph.edge_table()
+    nodes, names = graph.nodes, table.type_names
+    rows = [
+        EdgeRow(nodes[u], nodes[v], names[code], weight)
+        for (u, v), code, weight in zip(
+            table.ends.tolist(),
+            table.type_codes.tolist(),
+            table.weights.tolist(),
+        )
+    ]
+    if edge_type is None:
+        return rows
+    return [row for row in rows if row.edge_type == edge_type]
 
 
 class PlainGraph:

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.graph import HeteroGraph
-from repro.graph.heterograph import Edge
 
 
 class TestConstruction:
@@ -136,25 +135,14 @@ class TestQueries:
         assert "edges=11" in text
 
 
-class TestEdge:
-    def test_other_endpoint(self):
-        e = Edge("a", "b", "t", 1.0)
-        assert e.other("a") == "b"
-        assert e.other("b") == "a"
-
-    def test_other_rejects_non_endpoint(self):
-        e = Edge("a", "b", "t", 1.0)
-        with pytest.raises(ValueError):
-            e.other("c")
-
-    def test_endpoints(self):
-        assert Edge("a", "b", "t", 1.0).endpoints() == ("a", "b")
+def citation_mask(graph):
+    table = graph.edge_table()
+    return table.type_codes == table.type_names.index("citation")
 
 
 class TestDerivedGraphs:
     def test_subgraph_of_edges(self, academic):
-        citation = academic.edges_of_type("citation")
-        sub = academic.subgraph_of_edges(citation)
+        sub = academic.subgraph_of_edge_mask(citation_mask(academic))
         assert sub.num_nodes == 2
         assert sub.num_edges == 1
         assert sub.node_types == {"paper"}
@@ -166,8 +154,7 @@ class TestDerivedGraphs:
         assert sub.num_edges == 2
 
     def test_without_edges_keeps_all_nodes(self, academic):
-        removed = academic.edges_of_type("citation")
-        reduced = academic.without_edges(removed)
+        reduced = academic.without_edges(citation_mask(academic))
         assert reduced.num_nodes == academic.num_nodes
         assert reduced.num_edges == academic.num_edges - 1
         assert not reduced.has_edge("P1", "P2")

@@ -9,6 +9,7 @@ from repro.graph import (
     save_embeddings,
     save_graph,
 )
+from tests.graph.oracle import edge_rows
 
 
 class TestGraphRoundTrip:
@@ -20,8 +21,8 @@ class TestGraphRoundTrip:
         assert loaded.num_edges == academic.num_edges
         for node in academic.nodes:
             assert loaded.node_type(node) == academic.node_type(node)
-        for orig, new in zip(academic.edges, loaded.edges):
-            assert orig.endpoints() == new.endpoints()
+        for orig, new in zip(edge_rows(academic), edge_rows(loaded)):
+            assert (orig.u, orig.v) == (new.u, new.v)
             assert orig.edge_type == new.edge_type
             assert orig.weight == new.weight
 

@@ -11,6 +11,7 @@ from repro.graph import (
     paired_subviews,
     separate_views,
 )
+from tests.graph.oracle import edge_rows
 
 
 class TestSeparateViews:
@@ -28,7 +29,7 @@ class TestSeparateViews:
         total = sum(v.num_edges for v in views)
         assert total == academic.num_edges
         for view in views:
-            types = {e.edge_type for e in view.graph.edges}
+            types = {e.edge_type for e in edge_rows(view.graph)}
             assert types == {view.edge_type}
 
     def test_no_isolated_nodes_in_any_view(self, academic):

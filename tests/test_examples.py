@@ -11,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+from tests.graph.oracle import edge_rows
+
 EXAMPLES = Path(__file__).parent.parent / "examples"
 
 
@@ -59,7 +61,7 @@ class TestExampleModules:
         assert graph.node_types == {"user", "movie", "genre"}
         assert graph.edge_types == {"rating", "genre-of"}
         # ratings carry weights 1..5
-        weights = [e.weight for e in graph.edges_of_type("rating")]
+        weights = [e.weight for e in edge_rows(graph, "rating")]
         assert min(weights) >= 1.0
         assert max(weights) <= 5.0
 

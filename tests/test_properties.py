@@ -26,6 +26,7 @@ from repro.graph import (
     separate_views,
 )
 from repro.walks import BiasedCorrelatedWalker, UniformWalker
+from tests.graph.oracle import edge_rows
 
 SMOKE_CONFIG = TransNConfig(
     dim=4,
@@ -84,7 +85,7 @@ class TestGraphProperties:
         loaded = load_graph(path)
         assert loaded.num_nodes == graph.num_nodes
         assert loaded.num_edges == graph.num_edges
-        for orig, new in zip(graph.edges, loaded.edges):
+        for orig, new in zip(edge_rows(graph), edge_rows(loaded)):
             assert (str(orig.u), str(orig.v)) == (new.u, new.v)
             assert orig.weight == new.weight
 
