@@ -1,114 +1,132 @@
-"""Benchmark: every pluggable walk policy through the full TransN stack.
+"""E11: TransN's walk policies on the Table III/IV networks.
 
-Runs each registered :data:`repro.walks.POLICY_NAMES` policy through the
-model (``TransNConfig(walk_policy=...)``) on two stress-shaped fixture
-graphs — a degree-skewed two-view graph (power-law homo-view) and a
-type-imbalanced three-view graph (one view hoards the edge budget) —
-then scores the embeddings on the classification / link-prediction /
-clustering suite.  A final guard block re-runs the paper's biased
-correlated walk on the standard ``two_view_toy`` suite, so a policy
-refactor that silently regresses Equations 6-7 shows up here as well as
-in the unit goldens.
+Fits TransN at the benchmark configuration (``bench_transn_config()``,
+d=32) once per walk policy, dataset and seed, and scores it under the
+E2 protocol (node classification: 10 stratified 90/10 splits, mean
+macro/micro-F1) and the E3 protocol (link prediction: 40% of the edges
+removed, ROC-AUC).  The seed drives both the model and the split.
 
-Results land in ``BENCH_policies.json`` at the repository root.
+A policy earns its place if, on some dataset and metric, its mean over
+the seeds beats ``biased``'s (the paper's walk, Eq. 6-7) by more than the
+larger of the two sample standard deviations.  The per-seed table, the
+means and that verdict are written to ``benchmarks/results/walk_policies.txt``.
 
 Run::
 
-    PYTHONPATH=src python benchmarks/bench_walk_policies.py            # full
-    PYTHONPATH=src python benchmarks/bench_walk_policies.py --fast     # CI smoke
+    PYTHONPATH=src python benchmarks/bench_walk_policies.py            # E11
+    PYTHONPATH=src python benchmarks/bench_walk_policies.py --fast \\
+        --json /tmp/walk_policies.json                                  # smoke
 
-Fast mode shrinks graphs and iteration counts to smoke-test the wiring;
-its scores are not meaningful and its output should never be checked in.
+``--fast`` uses the scaled-down benchmark networks, two iterations and
+one seed, and writes no table; its scores are not meaningful.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import os
 import sys
 import time
 from pathlib import Path
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "src"))
+import numpy as np
 
-from repro.core import TransN, TransNConfig  # noqa: E402
-from repro.datasets import (  # noqa: E402
-    degree_skewed_graph,
-    two_view_toy,
-    type_imbalanced_graph,
-)
-from repro.engine.observability import (  # noqa: E402
-    MetricsRegistry,
-    RunReport,
-    Tracer,
-)
-from repro.eval import (  # noqa: E402
-    run_clustering,
-    run_link_prediction,
-    run_node_classification,
-)
+BENCH_DIR = Path(__file__).resolve().parent
+sys.path.insert(0, str(BENCH_DIR.parent / "src"))
+sys.path.insert(0, str(BENCH_DIR))
+
+from repro.core import TransN  # noqa: E402
+from repro.eval import run_link_prediction, run_node_classification  # noqa: E402
+from repro.eval.link_prediction import make_split  # noqa: E402
 from repro.eval.methods import TransNMethod  # noqa: E402
 from repro.walks import POLICY_NAMES  # noqa: E402
 
-
-def _config(policy: str, fast: bool, seed: int) -> TransNConfig:
-    return TransNConfig(
-        dim=16 if fast else 32,
-        seed=seed,
-        num_iterations=2 if fast else 6,
-        walk_policy=policy,
-    )
+METRICS = ("macro_f1", "micro_f1", "auc")
 
 
-def _fit_embeddings(graph, policy: str, fast: bool, seed: int):
-    model = TransN(graph, _config(policy, fast, seed))
-    model.fit()
-    return model.embeddings()
-
-
-def evaluate_policy(
-    graph, labels, policy: str, fast: bool, seed: int
-) -> dict:
-    """Classification + clustering + link prediction for one policy."""
+def measure(graph, labels, config) -> dict:
+    """One E2 fit and one E3 fit of TransN under ``config``."""
     started = time.perf_counter()
-    embeddings = _fit_embeddings(graph, policy, fast, seed)
-    fit_s = time.perf_counter() - started
+    model = TransN(graph, config)
+    model.fit()
     classification = run_node_classification(
-        embeddings, labels, repeats=3 if fast else 10, seed=seed
+        model.embeddings(), labels, repeats=10, seed=config.seed
     )
-    clustering = run_clustering(embeddings, labels, seed=seed)
+    split = make_split(graph, removal_fraction=0.4, seed=config.seed)
     link = run_link_prediction(
-        lambda: TransNMethod(_config(policy, fast, seed)),
-        graph,
-        removal_fraction=0.3,
-        seed=seed,
+        lambda: TransNMethod(config), graph, split=split
     )
     return {
-        "policy": policy,
-        "fit_seconds": fit_s,
-        "classification": {
-            "macro_f1": classification.macro_f1,
-            "micro_f1": classification.micro_f1,
-        },
-        "clustering": {"nmi": clustering.nmi},
-        "link_prediction": {"auc": link.auc},
-    }
-
-
-def standard_suite_guard(fast: bool, seed: int) -> dict:
-    """The paper's walk on the standard toy suite (regression anchor)."""
-    graph, labels = two_view_toy(num_per_side=12)
-    embeddings = _fit_embeddings(graph, "biased", fast, seed)
-    classification = run_node_classification(
-        embeddings, labels, repeats=3 if fast else 10, seed=seed
-    )
-    return {
-        "graph": "two_view_toy",
-        "policy": "biased",
         "macro_f1": classification.macro_f1,
         "micro_f1": classification.micro_f1,
+        "auc": link.auc,
+        "seconds": time.perf_counter() - started,
     }
+
+
+def verdicts(rows: list[dict], baseline: str = "biased") -> dict:
+    """Per policy: the (dataset, metric) cells where it beats ``baseline``.
+
+    A cell counts when the policy's mean beats the baseline's by more
+    than the larger of the two sample standard deviations (ddof=1).
+    """
+    cells: dict[tuple, list[float]] = {}
+    for row in rows:
+        for metric in METRICS:
+            key = (row["policy"], row["dataset"], metric)
+            cells.setdefault(key, []).append(row[metric])
+    wins: dict[str, list[str]] = {}
+    for (policy, dataset, metric), values in cells.items():
+        wins.setdefault(policy, [])
+        if policy == baseline:
+            continue
+        base = cells[(baseline, dataset, metric)]
+        spread = max(np.std(values, ddof=1), np.std(base, ddof=1))
+        if np.mean(values) - np.mean(base) > spread:
+            wins[policy].append(f"{dataset}/{metric}")
+    return wins
+
+
+def render(rows: list[dict], wins: dict) -> str:
+    """The per-seed table, the seed means and the verdict."""
+    from conftest import format_table
+
+    per_seed = [
+        {
+            "Dataset": r["dataset"],
+            "Policy": r["policy"],
+            "Seed": r["seed"],
+            "Macro-F1": f"{r['macro_f1']:.4f}",
+            "Micro-F1": f"{r['micro_f1']:.4f}",
+            "AUC": f"{r['auc']:.4f}",
+            "Fit s": f"{r['seconds']:.1f}",
+        }
+        for r in rows
+    ]
+    summary = []
+    keys = dict.fromkeys((r["dataset"], r["policy"]) for r in rows)
+    for dataset, policy in keys:
+        group = [
+            r for r in rows
+            if r["dataset"] == dataset and r["policy"] == policy
+        ]
+        entry = {"Dataset": dataset, "Policy": policy}
+        for metric, title in zip(METRICS, ("Macro-F1", "Micro-F1", "AUC")):
+            values = [r[metric] for r in group]
+            std = np.std(values, ddof=1) if len(values) > 1 else 0.0
+            entry[title] = f"{np.mean(values):.4f} ± {std:.4f}"
+        summary.append(entry)
+    lines = [
+        format_table(per_seed, "E11 — walk policies, per seed"),
+        format_table(summary, "E11 — mean ± sample std over seeds"),
+        "Beats biased by more than the larger std on:",
+    ]
+    for policy, cells in wins.items():
+        if policy != "biased":
+            lines.append(f"  {policy:18s} {', '.join(cells) or 'nothing'}")
+    return "\n".join(lines) + "\n"
 
 
 def main(argv: list[str] | None = None) -> None:
@@ -116,74 +134,64 @@ def main(argv: list[str] | None = None) -> None:
     parser.add_argument(
         "--fast",
         action="store_true",
-        help="smoke-test sizes for CI; scores not meaningful",
+        help="scaled-down networks, two iterations, seed 0; no table",
     )
     parser.add_argument(
-        "--out",
-        type=Path,
-        default=REPO_ROOT / "BENCH_policies.json",
-        help="output JSON path (default: BENCH_policies.json at repo root)",
+        "--policies",
+        help="comma-separated walk policies (default: every POLICY_NAMES "
+        "entry)",
     )
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument(
+        "--seeds", default="0,1,2", help="comma-separated seeds"
+    )
+    parser.add_argument(
+        "--json", type=Path, help="also write the per-seed rows as JSON"
+    )
     args = parser.parse_args(argv)
+    if args.fast:
+        # read by conftest at import time
+        os.environ["REPRO_BENCH_FAST"] = "1"
+    from conftest import RESULTS_DIR, bench_transn_config, load_datasets
 
-    num_items = 16 if args.fast else 48
-    graphs = {
-        "degree_skewed": degree_skewed_graph(
-            num_items=num_items, exponent=2.5, seed=args.seed
-        ),
-        "type_imbalanced": type_imbalanced_graph(
-            num_items=num_items, shares=(0.8, 0.15, 0.05), seed=args.seed
-        ),
-    }
+    policies = (
+        args.policies.split(",") if args.policies else list(POLICY_NAMES)
+    )
+    if "biased" not in policies:
+        policies.insert(0, "biased")
+    seeds = [0] if args.fast else [int(s) for s in args.seeds.split(",")]
 
-    metrics = MetricsRegistry()
-    tracer = Tracer()
-    results = []
-    with tracer.span("bench_walk_policies", kind="run"):
-        for graph_name, (graph, labels) in graphs.items():
-            print(f"=== {graph_name}: {graph} ===", flush=True)
-            entry = {"graph": graph_name, "nodes": graph.num_nodes,
-                     "edges": graph.num_edges, "policies": []}
-            for policy in POLICY_NAMES:
-                with tracer.span(
-                    f"{graph_name}/{policy}", kind="custom"
-                ), metrics.timer(f"policy/{graph_name}/{policy}"):
-                    scores = evaluate_policy(
-                        graph, labels, policy, args.fast, args.seed
-                    )
-                metrics.observe(
-                    f"macro_f1/{graph_name}",
-                    scores["classification"]["macro_f1"],
+    rows = []
+    for dataset, (graph, labels) in load_datasets().items():
+        for policy in policies:
+            for seed in seeds:
+                config = dataclasses.replace(
+                    bench_transn_config(seed=seed), walk_policy=policy
                 )
+                row = {"dataset": dataset, "policy": policy, "seed": seed}
+                row.update(measure(graph, labels, config))
+                rows.append(row)
                 print(
-                    f"  {policy:18s} macro-F1 "
-                    f"{scores['classification']['macro_f1']:.3f}  NMI "
-                    f"{scores['clustering']['nmi']:.3f}  AUC "
-                    f"{scores['link_prediction']['auc']:.3f}  "
-                    f"({scores['fit_seconds']:.1f}s)"
+                    f"{dataset:10s} {policy:18s} seed {seed}  macro "
+                    f"{row['macro_f1']:.4f}  micro {row['micro_f1']:.4f}  "
+                    f"AUC {row['auc']:.4f}  ({row['seconds']:.1f}s)",
+                    flush=True,
                 )
-                entry["policies"].append(scores)
-            results.append(entry)
-        with tracer.span("standard_suite_guard", kind="custom"):
-            guard = standard_suite_guard(args.fast, args.seed)
-        print(
-            f"standard suite (two_view_toy, biased): "
-            f"macro-F1 {guard['macro_f1']:.3f}"
-        )
 
-    payload = {
-        "benchmark": "walk_policies",
-        "fast_mode": args.fast,
-        "policies": list(POLICY_NAMES),
-        "results": results,
-        "standard_suite": guard,
-        "observability": RunReport(
-            metrics, tracer, metadata={"benchmark": "walk_policies"}
-        ).to_dict(),
-    }
-    args.out.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {args.out}")
+    wins = verdicts(rows) if len(seeds) > 1 else {}
+    if args.json is not None:
+        payload = {
+            "benchmark": "walk_policies",
+            "fast_mode": args.fast,
+            "policies": policies,
+            "rows": rows,
+            "wins": wins,
+        }
+        args.json.write_text(json.dumps(payload, indent=2) + "\n")
+    if not args.fast:
+        text = render(rows, wins)
+        print("\n" + text)
+        RESULTS_DIR.mkdir(exist_ok=True)
+        (RESULTS_DIR / "walk_policies.txt").write_text(text)
 
 
 if __name__ == "__main__":

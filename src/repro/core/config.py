@@ -43,17 +43,10 @@ class TransNConfig:
         batch_size: skip-gram minibatch size.
 
         walk_policy: the per-view walk strategy (``docs/walk_policies.md``):
-            "biased" (the paper's Eqs. 6-7, default), "uniform",
-            "node2vec", "het-node2vec", "metapath", "spacey", or
-            "relation-balanced" (biased walks + the BHIN2vec-style
-            :class:`repro.engine.RelationBalancer` reweighting per-view
-            training shares from recorded per-view losses).
-        walk_p / walk_q: node2vec return/in-out parameters (node2vec and
-            het-node2vec policies only).
-        type_switch: het-node2vec cross-type transition factor (> 1 pushes
-            walks across node-type boundaries).
-        balance_strength: exponent of the relation-balanced walk-share
-            update (0 disables rebalancing).
+            "biased" (the paper's Eqs. 6-7, default), "uniform" (the
+            simple-walk ablation), "node2vec" or "metapath".
+        walk_p / walk_q: node2vec return/in-out parameters (node2vec
+            policy only).
 
         use_cross_view: Table V "TransN-Without-Cross-View" when False.
         simple_translator: Table V "TransN-With-Simple-Translator" when
@@ -108,9 +101,7 @@ class TransNConfig:
         spill_dir: directory for on-disk corpus spill files.  The first
             corpus draw of each view is appended block-by-block to
             ``<spill_dir>/view<code>.spill``; later draws mmap-replay
-            the file instead of re-walking the graph.  Conflicts with
-            the relation-balanced policy (its per-epoch walk shares need
-            fresh draws).
+            the file instead of re-walking the graph.
         on_spill_error: "degrade" (default) survives a corrupt,
             truncated, or unwritable spill file — the incident lands in
             the run report (``spill/degraded``), replay is disabled for
@@ -140,8 +131,6 @@ class TransNConfig:
     walk_policy: str = "biased"
     walk_p: float = 1.0
     walk_q: float = 1.0
-    type_switch: float = 2.0
-    balance_strength: float = 1.0
 
     use_cross_view: bool = True
     simple_translator: bool = False
@@ -213,15 +202,6 @@ class TransNConfig:
                 "corpus_budget_mb",
                 "must be > 0",
             )
-        if (
-            self.spill_dir is not None
-            and self.walk_policy == "relation-balanced"
-        ):
-            raise ValueError(
-                "spill_dir conflicts with walk_policy="
-                "'relation-balanced': replayed corpora would ignore "
-                "the per-epoch walk shares"
-            )
         if self.on_spill_error not in ("degrade", "raise"):
             raise ValueError(
                 f"unknown on_spill_error {self.on_spill_error!r}; "
@@ -234,10 +214,6 @@ class TransNConfig:
             )
         require(self.walk_p > 0, "walk_p", "must be > 0")
         require(self.walk_q > 0, "walk_q", "must be > 0")
-        require(self.type_switch > 0, "type_switch", "must be > 0")
-        require(
-            self.balance_strength >= 0, "balance_strength", "must be >= 0"
-        )
         if self.view_weighting not in ("uniform", "degree"):
             raise ValueError(
                 f"unknown view_weighting {self.view_weighting!r}; "

@@ -27,7 +27,6 @@ from repro.engine import (
     MetricsRegistry,
     NumericalHealthGuard,
     Phase,
-    RelationBalancer,
     RunReport,
     Tracer,
     TrainingLoop,
@@ -233,19 +232,11 @@ class TransN:
         """A fresh walk policy per view/subview from the config knobs.
 
         Policies bind to exactly one graph, so every trainer gets its own
-        instance.  The relation-balanced mode walks with the paper's
-        biased policy — its balancing lives in the
-        :class:`~repro.engine.RelationBalancer` loop callback, attached
-        by :meth:`fit`.  Metapath-family policies derive their cycle from
-        each view's node types at bind time.
+        instance.  The metapath policy derives its cycle from each view's
+        node types at bind time.
         """
         cfg = self.config
-        return make_policy(
-            cfg.walk_policy,
-            p=cfg.walk_p,
-            q=cfg.walk_q,
-            type_switch=cfg.type_switch,
-        )
+        return make_policy(cfg.walk_policy, p=cfg.walk_p, q=cfg.walk_q)
 
     # ------------------------------------------------------------------
     # training
@@ -475,21 +466,11 @@ class TransN:
                 "resume=True needs a checkpoint directory or manager"
             )
 
-        # the relation balancer feeds on recorded per-view losses, so it
-        # forces the metrics registry on even without a report request
-        balancing = (
-            self.config.walk_policy == "relation-balanced"
-            and self.config.balance_strength > 0
-            and len(self.single_trainers) > 1
-        )
         # an armed fault injector (--chaos / a chaos test) forces metrics
-        # on too: its faults/* incidents must reach the run report
+        # on: its faults/* incidents must reach the run report
         chaos = faults.get_active()
         observing = (
-            report is not None
-            or metrics is not None
-            or balancing
-            or chaos is not None
+            report is not None or metrics is not None or chaos is not None
         )
         if observing and metrics is None:
             metrics = MetricsRegistry()
@@ -507,13 +488,6 @@ class TransN:
                 chaos.bind_metrics(metrics)
 
         engine_callbacks: list[Callback] = []
-        if balancing:
-            engine_callbacks.append(
-                RelationBalancer(
-                    self.single_trainers,
-                    strength=self.config.balance_strength,
-                )
-            )
         if self.config.health_policy is not None:
             engine_callbacks.append(
                 NumericalHealthGuard(

@@ -117,7 +117,6 @@ class SingleViewTrainer:
         self.window = window_for_view(view)
         self.policy = policy if policy is not None else BiasedCorrelatedPolicy()
         self.walker = LockstepWalker(view, self.policy, rng=rng)
-        self.walk_scale = 1.0  # RelationBalancer's per-view share knob
         self.trainer = SkipGramTrainer(embeddings, rng=rng, optimizer=optimizer)
         self.metrics: MetricsRegistry = NULL_REGISTRY
         self._last_corpus: WalkCorpus | None = None
@@ -129,8 +128,8 @@ class SingleViewTrainer:
         self.spill_path = Path(spill_path) if spill_path is not None else None
         self.on_spill_error = on_spill_error
         self._spill_disabled = False
-        #: regeneration state captured at record time (mode + seed/state
-        #: + count_scale); lets a degraded run re-derive the lost draw
+        #: regeneration state captured at record time (mode + seed or
+        #: RNG state); lets a degraded run re-derive the lost draw
         self._spill_recording: dict | None = None
         # compact int32 blocks halve a budgeted block and a spill file;
         # unbudgeted draws keep int64 indices: with int32 ones the first
@@ -198,11 +197,8 @@ class SingleViewTrainer:
                 self._spill_recording = {
                     "mode": "serial",
                     "state": copy.deepcopy(self.rng.bit_generator.state),
-                    "count_scale": self.walk_scale,
                 }
-            blocks = self._serial_blocks(
-                self.walker, self.rng, self.walk_scale
-            )
+            blocks = self._serial_blocks(self.walker, self.rng)
         else:
             seed_seq = single_view_seed(self.seed, self.view_code, self._draws)
             self._draws += 1
@@ -210,18 +206,14 @@ class SingleViewTrainer:
                 self._spill_recording = {
                     "mode": "parallel",
                     "seed_seq": seed_seq,
-                    "count_scale": self.walk_scale,
                 }
-            blocks = self._parallel_blocks(seed_seq, self.walk_scale)
+            blocks = self._parallel_blocks(seed_seq)
         if recording:
             blocks = self._record_blocks(blocks)
         return self._track_last(blocks)
 
     def _serial_blocks(
-        self,
-        walker: LockstepWalker,
-        rng: np.random.Generator,
-        count_scale: float,
+        self, walker: LockstepWalker, rng: np.random.Generator
     ) -> Iterator[WalkCorpus]:
         return stream_walk_corpus(
             self.view,
@@ -230,13 +222,12 @@ class SingleViewTrainer:
             floor=self.walk_floor,
             cap=self.walk_cap,
             rng=rng,
-            count_scale=count_scale,
             block_walks=self._block_walks,
             index_dtype=self._index_dtype,
         )
 
     def _parallel_blocks(
-        self, seed_seq: np.random.SeedSequence, count_scale: float
+        self, seed_seq: np.random.SeedSequence
     ) -> Iterator[WalkCorpus]:
         return self.parallel.stream_corpus(
             self.view,
@@ -245,7 +236,6 @@ class SingleViewTrainer:
             block_walks=self._block_walks,
             floor=self.walk_floor,
             cap=self.walk_cap,
-            count_scale=count_scale,
             seed_seq=seed_seq,
             index_dtype=self._index_dtype,
             label=f"single_view/{self.view.edge_type}",
@@ -306,28 +296,22 @@ class SingleViewTrainer:
         recording = self._spill_recording
         if recording is None:
             if self.parallel is None:
-                yield from self._serial_blocks(
-                    self.walker, self.rng, self.walk_scale
-                )
+                yield from self._serial_blocks(self.walker, self.rng)
             else:
                 seed_seq = single_view_seed(
                     self.seed, self.view_code, self._draws
                 )
                 self._draws += 1
-                yield from self._parallel_blocks(seed_seq, self.walk_scale)
+                yield from self._parallel_blocks(seed_seq)
             return
         if recording["mode"] == "parallel":
-            yield from self._parallel_blocks(
-                recording["seed_seq"], recording["count_scale"]
-            )
+            yield from self._parallel_blocks(recording["seed_seq"])
             return
         bitgen = type(self.rng.bit_generator)()
         bitgen.state = copy.deepcopy(recording["state"])
         regen_rng = np.random.Generator(bitgen)
         walker = LockstepWalker(self.view, self.policy, rng=regen_rng)
-        yield from self._serial_blocks(
-            walker, regen_rng, recording["count_scale"]
-        )
+        yield from self._serial_blocks(walker, regen_rng)
 
     def _track_last(self, blocks) -> Iterator[WalkCorpus]:
         """Remember the newest block for :meth:`evaluate_loss`."""
@@ -416,15 +400,14 @@ class SingleViewTrainer:
         return {
             "skipgram": self.trainer.state_dict(),
             "pipeline": self.pipeline.state_dict(),
-            "walk_scale": self.walk_scale,
             "corpus_draws": self._draws,
         }
 
     def load_state_dict(self, state: dict) -> None:
         self.trainer.load_state_dict(state["skipgram"])
         self.pipeline.load_state_dict(state["pipeline"])
-        # pre-balancer checkpoints lack the key; the neutral scale is 1
-        self.walk_scale = float(state.get("walk_scale", 1.0))
+        # a "walk_scale" key (older checkpoints) is ignored: it is 1, the
+        # counts this trainer draws, for every policy that still exists
         # pre-parallel checkpoints lack the draw clock; 0 matches their
         # serial path, which never reads it
         self._draws = int(state.get("corpus_draws", 0))

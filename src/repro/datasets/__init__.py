@@ -38,10 +38,8 @@ from repro.datasets.appstore import (
 from repro.datasets.blog import BlogConfig, make_blog
 from repro.datasets.fixtures import (
     book_rating_view,
-    degree_skewed_graph,
     tiny_academic,
     two_view_toy,
-    type_imbalanced_graph,
 )
 
 __all__ = [
@@ -56,6 +54,4 @@ __all__ = [
     "tiny_academic",
     "book_rating_view",
     "two_view_toy",
-    "degree_skewed_graph",
-    "type_imbalanced_graph",
 ]

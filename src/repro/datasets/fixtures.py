@@ -1,15 +1,10 @@
 """Tiny deterministic fixture graphs used throughout the test-suite.
 
-Besides the hand-drawn paper figures, this module grows two seeded
-generators for stress-shaped graphs — :func:`degree_skewed_graph` (a
-power-law homo-view, exponent knob) and :func:`type_imbalanced_graph`
-(edge-type share knob) — used by the walk-policy benchmarks and the
-chi-square distribution tests.
+The hand-drawn graphs of the paper's figures, plus a small
+planted-community graph for the integration tests.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.graph.heterograph import HeteroGraph, NodeId
 
@@ -98,154 +93,3 @@ def two_view_toy(
         g.add_edge(item, tag_pool[(k + 1) % len(tag_pool)], "AB", weight=1.0)
     return g, community
 
-
-def degree_skewed_graph(
-    num_items: int = 40,
-    exponent: float = 2.5,
-    seed: int = 0,
-) -> tuple[HeteroGraph, dict[NodeId, int]]:
-    """A two-view graph whose homo-view degrees follow a power law.
-
-    Items carry attachment weights ``(rank + 1) ** -exponent`` inside each
-    of two planted communities; extra homo-view ("II") edges are sampled
-    proportional to endpoint weights, so low exponents give near-uniform
-    degrees while high exponents concentrate edges on a few hubs.  A ring
-    per community keeps every item reachable, and a heter-view ("IT")
-    attaches items to their community's tags.  Returns
-    ``(graph, item_labels)``.
-
-    Args:
-        num_items: even number of item nodes, >= 8.
-        exponent: power-law exponent of the attachment weights, > 1.
-        seed: RNG seed for the extra-edge sampling.
-    """
-    if num_items < 8 or num_items % 2:
-        raise ValueError("num_items must be an even integer >= 8")
-    if exponent <= 1.0:
-        raise ValueError(f"exponent must be > 1, got {exponent}")
-    rng = np.random.default_rng(seed)
-    g = HeteroGraph()
-    items = [f"i{k}" for k in range(num_items)]
-    half = num_items // 2
-    num_tags = max(4, num_items // 8)
-    tags = [f"t{k}" for k in range(num_tags)]
-    for node in items:
-        g.add_node(node, "item")
-    for node in tags:
-        g.add_node(node, "tag")
-    community = {item: (0 if k < half else 1) for k, item in enumerate(items)}
-    seen: set[tuple[int, int]] = set()
-
-    def link(a: int, b: int, edge_type: str, weight: float) -> None:
-        key = (min(a, b), max(a, b))
-        if a != b and key not in seen:
-            seen.add(key)
-            g.add_edge(items[a], items[b], edge_type, weight=weight)
-
-    # backbone ring per community plus one weak bridge
-    for offset in (0, half):
-        for k in range(half):
-            link(offset + k, offset + (k + 1) % half, "II", 2.0)
-    link(0, half, "II", 0.5)
-    # preferential extras: endpoint probability ~ rank ** -exponent
-    extras = 2 * num_items
-    for offset in (0, half):
-        weights = (np.arange(1, half + 1, dtype=float)) ** -exponent
-        probs = weights / weights.sum()
-        us = rng.choice(half, size=extras, p=probs) + offset
-        vs = rng.choice(half, size=extras, p=probs) + offset
-        for a, b in zip(us, vs):
-            link(int(a), int(b), "II", 1.0)
-    # heter-view: community tags
-    for k, item in enumerate(items):
-        pool = tags[: num_tags // 2] if community[item] == 0 else tags[num_tags // 2 :]
-        g.add_edge(item, pool[k % len(pool)], "IT", weight=3.0)
-        g.add_edge(item, pool[(k + 1) % len(pool)], "IT", weight=1.0)
-    return g, community
-
-
-def type_imbalanced_graph(
-    num_items: int = 24,
-    shares: tuple[float, float, float] = (0.8, 0.15, 0.05),
-    seed: int = 0,
-) -> tuple[HeteroGraph, dict[NodeId, int]]:
-    """A three-view graph with a controllable edge-type share split.
-
-    ``shares`` sets the fraction of the edge budget spent on the "II"
-    homo-view, the "IT" item-tag view, and the "IC" item-category view
-    respectively (normalized internally).  The default starves the minor
-    views — the regime the relation-balanced policy targets.  Every view
-    keeps a minimal backbone so none is empty, and all three agree on the
-    planted two-community structure.  Returns ``(graph, item_labels)``.
-
-    Args:
-        num_items: even number of item nodes, >= 8.
-        shares: relative edge budget per view ("II", "IT", "IC"); all
-            entries must be positive.
-        seed: RNG seed for edge sampling.
-    """
-    if num_items < 8 or num_items % 2:
-        raise ValueError("num_items must be an even integer >= 8")
-    if len(shares) != 3 or any(s <= 0 for s in shares):
-        raise ValueError(f"shares must be 3 positive numbers, got {shares}")
-    rng = np.random.default_rng(seed)
-    fractions = np.asarray(shares, dtype=float)
-    fractions /= fractions.sum()
-    g = HeteroGraph()
-    items = [f"i{k}" for k in range(num_items)]
-    half = num_items // 2
-    num_tags = max(4, num_items // 6)
-    tags = [f"t{k}" for k in range(num_tags)]
-    cats = ["c0", "c1"]
-    for node in items:
-        g.add_node(node, "item")
-    for node in tags:
-        g.add_node(node, "tag")
-    for node in cats:
-        g.add_node(node, "category")
-    community = {item: (0 if k < half else 1) for k, item in enumerate(items)}
-    budget = 6 * num_items
-    targets = np.maximum(np.rint(budget * fractions).astype(int), 1)
-    seen: set[tuple[NodeId, NodeId]] = set()
-
-    def link(u: NodeId, v: NodeId, edge_type: str, weight: float = 1.0) -> bool:
-        key = (min(u, v), max(u, v))
-        if u == v or key in seen:
-            return False
-        seen.add(key)
-        g.add_edge(u, v, edge_type, weight=weight)
-        return True
-
-    def items_of(side: int) -> list[str]:
-        return items[:half] if side == 0 else items[half:]
-
-    # backbones: a ring of items, one edge per tag, one edge per category
-    counts = {"II": 0, "IT": 0, "IC": 0}
-    for offset in (0, half):
-        for k in range(half):
-            counts["II"] += link(
-                items[offset + k], items[offset + (k + 1) % half], "II", 2.0
-            )
-    counts["II"] += link(items[0], items[half], "II", 0.5)
-    for k, tag in enumerate(tags):
-        side = 0 if k < num_tags // 2 else 1
-        pool = items_of(side)
-        counts["IT"] += link(pool[k % half], tag, "IT", 2.0)
-    for side, cat in enumerate(cats):
-        counts["IC"] += link(items_of(side)[0], cat, "IC", 2.0)
-    # spend the remaining budget per the share split, within-community
-    for idx, edge_type in enumerate(("II", "IT", "IC")):
-        attempts = 0
-        while counts[edge_type] < targets[idx] and attempts < 20 * budget:
-            attempts += 1
-            side = int(rng.integers(2))
-            u = items_of(side)[int(rng.integers(half))]
-            if edge_type == "II":
-                v = items_of(side)[int(rng.integers(half))]
-            elif edge_type == "IT":
-                pool = tags[: num_tags // 2] if side == 0 else tags[num_tags // 2 :]
-                v = pool[int(rng.integers(len(pool)))]
-            else:
-                v = cats[side]
-            counts[edge_type] += link(u, v, edge_type, 1.0)
-    return g, community

@@ -12,7 +12,7 @@ from these pieces:
 - a :class:`TrainingLoop` running the phases, keeping their loss history
   and per-phase wall-clock timing itself, under a callback system
   (:class:`ProgressReporter`, :class:`NumericalHealthGuard`,
-  :class:`Checkpointer`, :class:`RelationBalancer`);
+  :class:`Checkpointer`);
 - a **fault-tolerance layer** (see ``docs/fault_tolerance.md``): the
   :class:`CheckpointManager` writes atomic, checksummed, rotated
   snapshots of any :class:`TrainingState`; the :class:`Checkpointer`
@@ -69,7 +69,6 @@ __all__ = [
     "ParallelRuntime",
     "Phase",
     "ProgressReporter",
-    "RelationBalancer",
     "RunReport",
     "SINGLE_VIEW_TAG",
     "SkipGramBatch",
@@ -101,7 +100,6 @@ _EXPORTS = {
     "NumericalHealthError": "callbacks",
     "NumericalHealthGuard": "callbacks",
     "ProgressReporter": "callbacks",
-    "RelationBalancer": "callbacks",
     "Checkpoint": "checkpoint",
     "CheckpointError": "checkpoint",
     "CheckpointManager": "checkpoint",

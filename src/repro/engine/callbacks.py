@@ -379,74 +379,3 @@ class NumericalHealthGuard(Callback):
             f"[{self._consecutive_retries}/{self.max_retries}]{detail}"
         )
 
-
-class RelationBalancer(Callback):
-    """BHIN2vec-inspired relation-type-balanced training (arXiv:1912.08925).
-
-    BHIN2vec balances heterogeneous relation types by giving the *worse-
-    trained* relation a larger share of the next training round.  Here
-    the signal is the per-view skip-gram loss the observability registry
-    already records (``single_view/<edge_type>/loss``): after every
-    epoch, each trainer's ``walk_scale`` — the multiplier on its next
-    corpus's per-node walk counts — is set to
-    ``clip((loss / mean_loss) ** strength, min_scale, max_scale)``.
-    Views lagging behind the mean loss sample more walks (a bigger share
-    of the alternating round); views ahead sample fewer.
-
-    The trainers only need two attributes: ``view.edge_type`` (the
-    metric key) and a mutable ``walk_scale``
-    (:class:`repro.core.single_view.SingleViewTrainer` has both, and
-    checkpoints ``walk_scale`` so resumed runs keep their shares).
-    Balancing is a no-op until at least two views have recorded a loss.
-    """
-
-    def __init__(
-        self,
-        trainers,
-        strength: float = 1.0,
-        min_scale: float = 0.25,
-        max_scale: float = 4.0,
-        prefix: str = "single_view",
-    ) -> None:
-        if strength < 0:
-            raise ValueError(f"strength must be >= 0, got {strength}")
-        if not 0 < min_scale <= 1 <= max_scale:
-            raise ValueError(
-                "need 0 < min_scale <= 1 <= max_scale, got "
-                f"{min_scale}, {max_scale}"
-            )
-        self.trainers = list(trainers)
-        self.strength = strength
-        self.min_scale = min_scale
-        self.max_scale = max_scale
-        self.prefix = prefix
-
-    def _latest_losses(self, metrics) -> dict[str, float]:
-        losses: dict[str, float] = {}
-        for trainer in self.trainers:
-            key = f"{self.prefix}/{trainer.view.edge_type}/loss"
-            series = metrics.series_values(key)
-            if series:
-                losses[trainer.view.edge_type] = float(series[-1])
-        return losses
-
-    def on_epoch_end(self, loop, epoch, logs) -> None:
-        metrics = _loop_metrics(loop)
-        losses = self._latest_losses(metrics)
-        if len(losses) < 2:
-            return
-        mean = sum(losses.values()) / len(losses)
-        if mean <= 0:
-            return
-        for trainer in self.trainers:
-            loss = losses.get(trainer.view.edge_type)
-            if loss is None or loss <= 0:
-                continue
-            scale = (loss / mean) ** self.strength
-            trainer.walk_scale = min(
-                max(scale, self.min_scale), self.max_scale
-            )
-            metrics.gauge(
-                f"balance/{trainer.view.edge_type}/walk_scale",
-                trainer.walk_scale,
-            )

@@ -107,7 +107,6 @@ class ParallelRuntime:
         floor: int = 10,
         cap: int = 32,
         walks_per_node_override: int | None = None,
-        count_scale: float = 1.0,
         seed_seq: np.random.SeedSequence,
         label: str = "corpus",
     ) -> WalkCorpus:
@@ -120,7 +119,6 @@ class ParallelRuntime:
             floor=floor,
             cap=cap,
             walks_per_node_override=walks_per_node_override,
-            count_scale=count_scale,
             seed_seq=seed_seq,
             label=label,
         )
@@ -144,7 +142,6 @@ class ParallelRuntime:
         floor: int = 10,
         cap: int = 32,
         walks_per_node_override: int | None = None,
-        count_scale: float = 1.0,
         seed_seq: np.random.SeedSequence,
         index_dtype: np.dtype | None = None,
         label: str = "corpus",
@@ -176,7 +173,6 @@ class ParallelRuntime:
             floor=floor,
             cap=cap,
             walks_per_node_override=walks_per_node_override,
-            count_scale=count_scale,
         )
         self._metrics.counter("parallel/corpus_builds")
         self._metrics.observe(f"parallel/{label}/walks", starts.size)

@@ -73,11 +73,24 @@ def _stable_top_k(
     k = min(k, n)
     if k < n:
         candidates = np.argpartition(scores, n - k, axis=1)[:, n - k :]
+        # the first candidate holds the k-th score.  argpartition keeps
+        # an arbitrary subset of the scores tied with it; where it left
+        # one out, redo the row: every score above the k-th, then the
+        # lowest columns among the ties
+        kth = np.take_along_axis(scores, candidates[:, :1], axis=1)
+        short = (scores >= kth).sum(axis=1) > k
+        if short.any():
+            above = scores[short] > kth[short]
+            tied = scores[short] == kth[short]
+            room = k - above.sum(axis=1, keepdims=True)
+            keep = above | (tied & (np.cumsum(tied, axis=1) <= room))
+            candidates[short] = np.nonzero(keep)[1].reshape(-1, k)
+        picked = np.take_along_axis(scores, candidates, axis=1)
     else:
         candidates = np.broadcast_to(
             np.arange(n), scores.shape
         ).copy()
-    picked = np.take_along_axis(scores, candidates, axis=1)
+        picked = scores
     # lexsort per row: primary -score, secondary candidate index
     order = np.lexsort(
         (candidates, -picked), axis=1
@@ -135,7 +148,7 @@ class BruteForceIndex:
             idx, top = _stable_top_k(scores, k)
             best_idx = np.concatenate([best_idx, idx + start], axis=1)
             best_scores = np.concatenate([best_scores, top], axis=1)
-            if best_idx.shape[1] > k:
+            if start > 0:
                 order = np.lexsort((best_idx, -best_scores), axis=1)[:, :k]
                 best_idx = np.take_along_axis(best_idx, order, axis=1)
                 best_scores = np.take_along_axis(best_scores, order, axis=1)
@@ -288,6 +301,14 @@ class IVFIndex:
             rows = np.concatenate([self._cell_ids[c] for c in cells])
             if k < size:
                 picked = np.argpartition(scores, size - k)[size - k :]
+                kth = scores[picked[0]]
+                if np.count_nonzero(scores >= kth) > k:
+                    # argpartition left out some of the scores tied
+                    # with the k-th: keep the lowest row ids among them
+                    above = np.flatnonzero(scores > kth)
+                    tied = np.flatnonzero(scores == kth)
+                    tied = tied[np.argsort(rows[tied])[: k - above.size]]
+                    picked = np.concatenate([above, tied])
                 rows, scores = rows[picked], scores[picked]
             # candidate rows are unique, so (score desc, row id) is a
             # total order: the same one brute force returns

@@ -13,11 +13,7 @@ any of them (see ``docs/walk_policies.md``):
 - ``UniformPolicy`` — DeepWalk / the simple-walk ablation;
 - ``BiasedCorrelatedPolicy`` — the paper's Equations 6-7;
 - ``Node2VecPolicy`` — second-order p/q walks;
-- ``MetapathPolicy`` — metapath-constrained walks;
-- ``HetNode2VecPolicy`` — type-aware transition scaling;
-- ``SpaceyMetapathPolicy`` — occupancy-reinforced spacey walks;
-- relation-balanced mode — biased walks + the
-  :class:`~repro.engine.callbacks.RelationBalancer` loop callback.
+- ``MetapathPolicy`` — metapath-constrained walks.
 
 Scalar execution (:class:`~repro.walks.walker.ReferenceWalker`) samples
 the same policies one walk at a time from their exact probabilities — the
@@ -41,10 +37,8 @@ from repro.walks.spill import (
 from repro.walks.policies import (
     POLICY_NAMES,
     BiasedCorrelatedPolicy,
-    HetNode2VecPolicy,
     MetapathPolicy,
     Node2VecPolicy,
-    SpaceyMetapathPolicy,
     UniformPolicy,
     WalkPolicy,
     make_policy,
@@ -63,8 +57,6 @@ __all__ = [
     "BiasedCorrelatedPolicy",
     "Node2VecPolicy",
     "MetapathPolicy",
-    "HetNode2VecPolicy",
-    "SpaceyMetapathPolicy",
     "make_policy",
     "POLICY_NAMES",
     # engines

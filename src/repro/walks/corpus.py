@@ -200,14 +200,12 @@ def walk_start_nodes(
     floor: int = 10,
     cap: int = 32,
     walks_per_node_override: int | None = None,
-    count_scale: float = 1.0,
 ) -> np.ndarray:
     """The start-index law of every corpus draw, standalone.
 
     Given a view's per-node degree array this applies, in order: the
     degree-based count policy (or a fixed override), isolated-node
-    zeroing, the balancer's ``count_scale`` (keeping >= 1 walk where any
-    was due), and the policy's start restriction — and repeats each node
+    zeroing and the policy's start restriction — and repeats each node
     index by its final count.  The ``workers >= 1`` corpus builder shares
     this function with the serial path so both build byte-identical
     start arrays before sharding.
@@ -219,14 +217,6 @@ def walk_start_nodes(
     else:
         counts = walk_counts(degrees, floor=floor, cap=cap)
     counts = np.where(degrees > 0, counts, 0)  # isolated nodes start nothing
-    if count_scale != 1.0:
-        if count_scale <= 0:
-            raise ValueError(f"count_scale must be > 0, got {count_scale}")
-        counts = np.where(
-            counts > 0,
-            np.maximum(np.rint(counts * count_scale).astype(np.int64), 1),
-            0,
-        )
     if policy is not None:
         allowed = policy.start_indices()
         if allowed is not None:
@@ -244,7 +234,6 @@ def build_corpus(
     cap: int = 32,
     walks_per_node_override: int | None = None,
     rng: np.random.Generator | None = None,
-    count_scale: float = 1.0,
 ) -> WalkCorpus:
     """Sample walks from every node under the degree-based count policy.
 
@@ -260,7 +249,6 @@ def build_corpus(
         cap=cap,
         walks_per_node_override=walks_per_node_override,
         rng=rng,
-        count_scale=count_scale,
     )
     corpus = next(blocks, None)
     if corpus is not None:
@@ -292,7 +280,6 @@ def stream_corpus(
     cap: int = 32,
     walks_per_node_override: int | None = None,
     rng: np.random.Generator | None = None,
-    count_scale: float = 1.0,
     block_walks: int | None = None,
     index_dtype: np.dtype | None = None,
 ) -> Iterator[WalkCorpus]:
@@ -327,9 +314,6 @@ def stream_corpus(
             such as DeepWalk that ignore degree.
         rng: shuffles each block so SGD sees mixed nodes; also drives the
             walks themselves when ``walker`` is a bare policy.
-        count_scale: multiplier on every node's walk count (>= 1 walk is
-            kept where any was due) — the :class:`RelationBalancer`'s
-            knob for growing or shrinking one view's training share.
         block_walks: maximum walks per yielded block (``None``: the whole
             corpus is one block; :func:`build_corpus` is that case).
         index_dtype: cast block matrices to this dtype
@@ -350,7 +334,6 @@ def stream_corpus(
         floor=floor,
         cap=cap,
         walks_per_node_override=walks_per_node_override,
-        count_scale=count_scale,
     )
     total = starts.size
     step = total if block_walks is None else min(block_walks, max(total, 1))

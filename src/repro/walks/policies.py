@@ -23,16 +23,12 @@ Policies (see ``docs/walk_policies.md`` for the math):
   paper's ``TransN-With-Simple-Walk`` ablation);
 - :class:`BiasedCorrelatedPolicy` — the paper's Equations 6-7;
 - :class:`Node2VecPolicy` — second-order p/q walks (Grover & Leskovec);
-- :class:`MetapathPolicy` — metapath-constrained walks (Dong et al.);
-- :class:`HetNode2VecPolicy` — node2vec with type-aware transition
-  scaling (Het-node2vec, arXiv:2101.01425);
-- :class:`SpaceyMetapathPolicy` — occupancy-reinforced spacey walks
-  (HeteSpaceyWalk, arXiv:1909.03228).
+- :class:`MetapathPolicy` — metapath-constrained walks (Dong et al.).
 
-The relation-balanced mode (BHIN2vec, arXiv:1912.08925) is not a
-per-step policy: it walks with :class:`BiasedCorrelatedPolicy` and
-rebalances per-view training shares through
-:class:`repro.engine.callbacks.RelationBalancer`.
+``biased`` is TransN's walk; the other three serve the baselines and
+the simple-walk ablation.  A further TransN policy earns its place by
+beating ``biased`` in EXPERIMENTS.md E11, which the related-work ones
+measured there did not.
 """
 
 from __future__ import annotations
@@ -361,33 +357,13 @@ class Node2VecPolicy(WalkPolicy):
     def init_state(self, starts):
         return {"previous": np.full(starts.size, -1, dtype=np.int64)}
 
-    def _pq_factors(
-        self, cand: np.ndarray, prev: np.ndarray, current: np.ndarray
-    ) -> np.ndarray:
+    def _pq_factors(self, cand: np.ndarray, prev: np.ndarray) -> np.ndarray:
         """Elementwise p/q bias factor; arrays broadcast together."""
         returning = cand == prev
         linked = self.csr.has_edges(prev, cand)
         return np.where(
             returning, 1.0 / self.p, np.where(linked, 1.0, 1.0 / self.q)
         )
-
-    def _first_order_weights(self, here: np.ndarray) -> np.ndarray | None:
-        """Padded first-step weights, or None for the alias fast path."""
-        return None
-
-    def _first_order_row(self, here: int) -> np.ndarray:
-        """Exact first-step weights of one node's segment."""
-        return self.csr.segment_weights(here).astype(np.float64)
-
-    def _second_order_weights(
-        self, sub: np.ndarray, prev: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Padded ``(weights, valid, degree)`` for second-order rows."""
-        csr = self.csr
-        weights, valid, degree = padded_segments(csr, sub, csr.weights)
-        cand, _, _ = padded_segments(csr, sub, csr.indices)
-        factors = self._pq_factors(cand, prev[:, None], sub[:, None])
-        return weights * factors, valid, degree
 
     def sample_slots(self, rng, here, rows, state):
         csr = self.csr
@@ -396,16 +372,12 @@ class Node2VecPolicy(WalkPolicy):
         slots = np.empty(here.size, dtype=np.int64)
         first = ~second
         if first.any():
-            fw = self._first_order_weights(here[first])
-            if fw is None:
-                slots[first] = alias_slot_draw(rng, csr, here[first])
-            else:
-                _, valid, degree = padded_segments(csr, here[first], csr.weights)
-                slots[first] = masked_cumsum_draw(rng, fw, valid, degree)
+            slots[first] = alias_slot_draw(rng, csr, here[first])
         if second.any():
-            probs, valid, degree = self._second_order_weights(
-                here[second], prev[second]
-            )
+            sub = here[second]
+            weights, valid, degree = padded_segments(csr, sub, csr.weights)
+            cand, _, _ = padded_segments(csr, sub, csr.indices)
+            probs = weights * self._pq_factors(cand, prev[second][:, None])
             slots[second] = masked_cumsum_draw(rng, probs, valid, degree)
         return slots
 
@@ -414,68 +386,11 @@ class Node2VecPolicy(WalkPolicy):
 
     def slot_probs(self, here, state, row=0):
         csr = self.csr
+        weights = csr.segment_weights(here).astype(np.float64)
         prev = int(state["previous"][row]) if state else -1
-        if prev < 0:
-            return self._first_order_row(here)
-        weights = csr.segment_weights(here).astype(np.float64)
-        if weights.size == 0:
+        if prev < 0 or weights.size == 0:
             return weights
-        cand = csr.neighbors(here)
-        factors = self._pq_factors(
-            cand, np.full(cand.size, prev, dtype=np.int64),
-            np.full(cand.size, here, dtype=np.int64),
-        )
-        return weights * factors
-
-
-class HetNode2VecPolicy(Node2VecPolicy):
-    """node2vec with type-aware transition scaling (arXiv:2101.01425).
-
-    Candidate weights gain an extra ``type_switch`` factor whenever the
-    candidate's node type differs from the current node's — on *every*
-    step, including the first.  ``type_switch > 1`` pushes walks across
-    type boundaries (more heterogeneous context windows),
-    ``type_switch < 1`` keeps them within a type.
-    """
-
-    name = "het-node2vec"
-
-    def __init__(
-        self, p: float = 1.0, q: float = 1.0, type_switch: float = 2.0
-    ) -> None:
-        super().__init__(p=p, q=q)
-        if type_switch <= 0:
-            raise ValueError(
-                f"type_switch must be positive, got {type_switch}"
-            )
-        self.type_switch = float(type_switch)
-
-    def _switch_factors(
-        self, cand: np.ndarray, current: np.ndarray
-    ) -> np.ndarray:
-        codes = self.csr.node_type_codes
-        return np.where(codes[cand] != codes[current], self.type_switch, 1.0)
-
-    def _pq_factors(self, cand, prev, current):
-        return super()._pq_factors(cand, prev, current) * self._switch_factors(
-            cand, current
-        )
-
-    def _first_order_weights(self, here):
-        csr = self.csr
-        weights, valid, _ = padded_segments(csr, here, csr.weights)
-        cand, _, _ = padded_segments(csr, here, csr.indices)
-        return weights * self._switch_factors(cand, here[:, None])
-
-    def _first_order_row(self, here):
-        csr = self.csr
-        weights = csr.segment_weights(here).astype(np.float64)
-        if weights.size == 0:
-            return weights
-        cand = csr.neighbors(here)
-        return weights * self._switch_factors(
-            cand, np.full(cand.size, here, dtype=np.int64)
-        )
+        return weights * self._pq_factors(csr.neighbors(here), prev)
 
 
 def _validate_metapath(metapath: list[str]) -> list[str]:
@@ -594,109 +509,6 @@ class MetapathPolicy(WalkPolicy):
         return (types == next_code).astype(np.float64)
 
 
-class SpaceyMetapathPolicy(WalkPolicy):
-    """Occupancy-reinforced spacey walks (HeteSpaceyWalk, arXiv:1909.03228).
-
-    Each walk carries an *occupancy vector* counting how often every node
-    type appeared on its history.  A candidate edge's weight is scaled by
-    ``(occupancy[cand_type] + 1) ** reinforcement`` — the walk
-    preferentially revisits types it has spent time in, the vertex-
-    reinforced "spacey" approximation of a metapath scheme.
-
-    With a ``metapath``, candidates are first restricted to the types
-    the path admits as successors of the current node's type (the walk
-    is "spacey": it forgets its exact position and only honours the
-    type-transition structure); if no admissible candidate exists the
-    restriction is dropped for that step rather than killing the walk.
-    """
-
-    name = "spacey"
-
-    def __init__(
-        self,
-        metapath: list[str] | None = None,
-        reinforcement: float = 1.0,
-    ) -> None:
-        super().__init__()
-        if reinforcement < 0:
-            raise ValueError(
-                f"reinforcement must be >= 0, got {reinforcement}"
-            )
-        self.metapath = (
-            None if metapath is None else _validate_metapath(metapath)
-        )
-        self.reinforcement = float(reinforcement)
-        self._successors: np.ndarray | None = None  # (T, T) admissibility
-
-    def _on_bind(self):
-        csr = self.csr
-        num_types = len(csr.type_names)
-        if self.metapath is None:
-            self._successors = np.ones((num_types, num_types), dtype=bool)
-            return
-        unknown = set(self.metapath) - set(csr.type_names)
-        if unknown:
-            raise ValueError(
-                f"metapath mentions unknown node types {unknown}"
-            )
-        successors = np.zeros((num_types, num_types), dtype=bool)
-        body = [csr.type_code(t) for t in self.metapath[:-1]]
-        for k, code in enumerate(body):
-            successors[code, body[(k + 1) % len(body)]] = True
-        self._successors = successors
-
-    def init_state(self, starts):
-        num_types = len(self.csr.type_names)
-        occupancy = np.zeros((starts.size, num_types), dtype=np.float64)
-        codes = self.csr.node_type_codes[starts]
-        occupancy[np.arange(starts.size), codes] = 1.0
-        return {"occupancy": occupancy}
-
-    def _occupancy_factors(
-        self, occupancy: np.ndarray, cand_types: np.ndarray
-    ) -> np.ndarray:
-        """``(occ[type] + 1) ** reinforcement`` per candidate."""
-        boosted = (occupancy + 1.0) ** self.reinforcement
-        return np.take_along_axis(boosted, cand_types, axis=1)
-
-    def sample_slots(self, rng, here, rows, state):
-        csr = self.csr
-        types, valid, degree = padded_segments(csr, here, csr.slot_type_codes)
-        weights, _, _ = padded_segments(csr, here, csr.weights)
-        clipped = np.clip(types, 0, len(csr.type_names) - 1)
-        admissible = np.take_along_axis(
-            self._successors[csr.node_type_codes[here]], clipped, axis=1
-        )
-        allowed = valid & admissible
-        # spacey fallback: rows with no admissible type keep all slots
-        mask = np.where(allowed.any(axis=1)[:, None], allowed, valid)
-        probs = weights * self._occupancy_factors(
-            state["occupancy"][rows], clipped
-        )
-        return masked_cumsum_draw(rng, np.where(mask, probs, 0.0), mask, degree)
-
-    def update_state(self, state, rows, here, slots):
-        csr = self.csr
-        nxt = csr.indices[csr.indptr[here] + slots]
-        state["occupancy"][rows, csr.node_type_codes[nxt]] += 1.0
-
-    def slot_probs(self, here, state, row=0):
-        csr = self.csr
-        weights = csr.segment_weights(here).astype(np.float64)
-        if weights.size == 0:
-            return weights
-        types = csr.slot_type_codes[csr.indptr[here] : csr.indptr[here + 1]]
-        admissible = self._successors[int(csr.node_type_codes[here])][types]
-        if not admissible.any():
-            admissible = np.ones(types.size, dtype=bool)
-        if state:
-            occupancy = state["occupancy"][row : row + 1]
-        else:
-            occupancy = np.zeros((1, len(csr.type_names)))
-        factors = self._occupancy_factors(occupancy, types[None, :])[0]
-        return np.where(admissible, weights * factors, 0.0)
-
-
 # ----------------------------------------------------------------------
 # Policy registry
 # ----------------------------------------------------------------------
@@ -709,20 +521,6 @@ _FACTORIES: dict[str, Callable[..., WalkPolicy]] = {
         p=kw.get("p", 1.0), q=kw.get("q", 1.0)
     ),
     "metapath": lambda **kw: MetapathPolicy(metapath=kw.get("metapath")),
-    "het-node2vec": lambda **kw: HetNode2VecPolicy(
-        p=kw.get("p", 1.0),
-        q=kw.get("q", 1.0),
-        type_switch=kw.get("type_switch", 2.0),
-    ),
-    "spacey": lambda **kw: SpaceyMetapathPolicy(
-        metapath=kw.get("metapath"),
-        reinforcement=kw.get("reinforcement", 1.0),
-    ),
-    # relation-balanced walks with the paper's policy; the balancing
-    # itself happens in the training loop (RelationBalancer callback)
-    "relation-balanced": lambda **kw: BiasedCorrelatedPolicy(
-        correlated=kw.get("correlated")
-    ),
 }
 
 POLICY_NAMES: tuple[str, ...] = tuple(sorted(_FACTORIES))
@@ -733,9 +531,8 @@ def make_policy(name: str, **kwargs) -> WalkPolicy:
     """Instantiate a fresh (unbound) policy by registry name.
 
     Recognized keyword knobs (ignored by policies that don't use them):
-    ``p``, ``q`` (node2vec family), ``type_switch`` (het-node2vec),
-    ``metapath`` (metapath/spacey), ``reinforcement`` (spacey),
-    ``correlated`` (biased).
+    ``p``, ``q`` (node2vec), ``metapath`` (metapath), ``correlated``
+    (biased).
     """
     try:
         factory = _FACTORIES[name]

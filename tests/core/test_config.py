@@ -125,6 +125,23 @@ class TestWalkPolicyKnobs:
         with pytest.raises(ValueError, match="walk_policy"):
             TransNConfig(walk_policy="teleport")
 
+    @pytest.mark.parametrize(
+        "name", ["het-node2vec", "spacey", "relation-balanced"]
+    )
+    def test_removed_policy_rejected_with_remaining_names(self, name):
+        """The related-work policies that EXPERIMENTS.md E11 removed fail
+        at construction, and the message lists the names that remain."""
+        from repro.walks import POLICY_NAMES
+
+        with pytest.raises(ValueError, match="walk_policy") as error:
+            TransNConfig(walk_policy=name)
+        assert all(repr(kept) in str(error.value) for kept in POLICY_NAMES)
+
+    @pytest.mark.parametrize("field_name", ["type_switch", "balance_strength"])
+    def test_removed_policy_knobs_are_gone(self, field_name):
+        with pytest.raises(TypeError, match=field_name):
+            TransNConfig(**{field_name: 1.0})
+
     def test_all_registry_names_accepted(self):
         from repro.walks import POLICY_NAMES
 
@@ -151,8 +168,6 @@ class TestWalkPolicyKnobs:
         [
             ("walk_p", 0.0),
             ("walk_q", -1.0),
-            ("type_switch", 0.0),
-            ("balance_strength", -0.5),
         ],
     )
     def test_bad_knob_named_in_error(self, field_name, value):

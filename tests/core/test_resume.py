@@ -139,6 +139,53 @@ class TestResumeEquivalence:
             straight.embedding_matrix(), resumed.embedding_matrix()
         )
 
+    def test_checkpoint_from_before_the_policy_removal_resumes(
+        self, graph, tmp_path
+    ):
+        """A checkpoint written while het-node2vec, spacey and
+        relation-balanced existed carries their config fields and a
+        neutral ``walk_scale`` per view; it resumes to the straight run's
+        bytes."""
+        from repro.engine import CheckpointManager
+
+        straight = TransN(graph, _config())
+        straight.fit(num_iterations=4)
+
+        TransN(graph, _config()).fit(num_iterations=2, checkpoint=tmp_path)
+        manager = CheckpointManager(tmp_path)
+        saved = manager.load_latest()
+        model_state = saved.state["model"]
+        model_state["config"].update(type_switch=2.0, balance_strength=1.0)
+        for view_state in model_state["single_view"].values():
+            view_state["walk_scale"] = 1.0
+        manager.save(saved.state, saved.step)
+
+        resumed = TransN(graph, _config())
+        resumed.fit(num_iterations=4, checkpoint=tmp_path, resume=True)
+        assert np.array_equal(
+            straight.embedding_matrix(), resumed.embedding_matrix()
+        )
+
+    def test_relation_balanced_checkpoint_is_refused(self, graph, tmp_path):
+        """A relation-balanced run's checkpoint (rescaled walk counts) is
+        not silently continued under another policy."""
+        from repro.engine import CheckpointManager
+
+        TransN(graph, _config()).fit(num_iterations=1, checkpoint=tmp_path)
+        manager = CheckpointManager(tmp_path)
+        saved = manager.load_latest()
+        model_state = saved.state["model"]
+        model_state["config"].update(
+            walk_policy="relation-balanced", balance_strength=1.0
+        )
+        for view_state in model_state["single_view"].values():
+            view_state["walk_scale"] = 1.5
+        manager.save(saved.state, saved.step)
+
+        resumed = TransN(graph, _config())
+        with pytest.raises(ValueError, match="walk_policy.*relation-balanced"):
+            resumed.fit(num_iterations=2, checkpoint=tmp_path, resume=True)
+
     def test_resume_with_empty_directory_starts_fresh(self, graph, tmp_path):
         fresh = TransN(graph, _config())
         fresh.fit(num_iterations=2)

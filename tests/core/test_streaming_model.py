@@ -178,16 +178,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="dtype"):
             TransNConfig(**{**_CONFIG, "dtype": "float16"})
 
-    def test_spill_conflicts_with_relation_balancing(self):
-        with pytest.raises(ValueError, match="relation-balanced"):
-            TransNConfig(
-                **{
-                    **_CONFIG,
-                    "spill_dir": "/tmp/x",
-                    "walk_policy": "relation-balanced",
-                }
-            )
-
     def test_cross_view_budget_too_small_raises_at_construction(self):
         # 16 KiB holds a walk block of this shape, but not one d=64
         # cross-view chunk with its fixed buffers

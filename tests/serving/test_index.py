@@ -15,6 +15,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.serving.index as index_module
 from repro.serving.index import (
@@ -26,23 +28,17 @@ from repro.serving.index import (
 from tests.ml.test_kmeans import OracleKMeans
 
 
-def _oracle_top_k(scores, k):
-    """Per-row top-k of a 2-D score matrix, ties on the lower column."""
-    n = scores.shape[1]
-    k = min(k, n)
-    if k < n:
-        candidates = np.argpartition(scores, n - k, axis=1)[:, n - k :]
-    else:
-        candidates = np.broadcast_to(
-            np.arange(n), scores.shape
-        ).copy()
-    picked = np.take_along_axis(scores, candidates, axis=1)
-    order = np.lexsort(
-        (candidates, -picked), axis=1
+def _oracle_top_k(scores, k, ids=None):
+    """Per-row top-k of a 2-D score matrix by a full sort in the total
+    order (score descending, then id ascending); ``ids`` default to the
+    column indices."""
+    if ids is None:
+        ids = np.broadcast_to(np.arange(scores.shape[1]), scores.shape)
+    order = np.lexsort((ids, -scores), axis=1)[:, :k]
+    return (
+        np.take_along_axis(ids, order, axis=1),
+        np.take_along_axis(scores, order, axis=1),
     )
-    top_idx = np.take_along_axis(candidates, order, axis=1)
-    top_scores = np.take_along_axis(picked, order, axis=1)
-    return top_idx, top_scores
 
 
 class OracleIVFIndex(IVFIndex):
@@ -90,12 +86,9 @@ class OracleIVFIndex(IVFIndex):
                     break
                 probes = min(probes * 2, self.nlist)
             scores = self._rows[candidates] @ queries[qi]
-            take = min(k, candidates.size)
-            idx, top = _oracle_top_k(scores[None, :], take)
-            rows = candidates[idx[0]]
-            order = np.lexsort((rows, -top[0]))
-            out_idx[qi] = rows[order]
-            out_scores[qi] = top[0][order]
+            idx, top = _oracle_top_k(scores[None, :], k, candidates[None, :])
+            out_idx[qi] = idx[0]
+            out_scores[qi] = top[0]
         return out_idx, out_scores
 
 
@@ -340,6 +333,56 @@ class TestIVFSearchMatchesOracle:
                 for g, w in zip(got, want):
                     assert g.dtype == w.dtype and g.shape == w.shape
                     assert g.tobytes() == w.tobytes(), (nprobe, k)
+
+
+@st.composite
+def tied_tables(draw):
+    """Integer rows and queries, every row one of a few distinct ones:
+    dot scores are exact in float64, so duplicated rows tie exactly."""
+    dim = draw(st.integers(1, 4))
+    distinct = draw(st.integers(1, 5))
+    n = draw(st.integers(2, 120))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    patterns = rng.integers(-3, 4, size=(distinct, dim)).astype(np.float64)
+    rows = patterns[rng.integers(0, distinct, size=n)]
+    queries = rng.integers(-3, 4, size=(draw(st.integers(1, 6)), dim))
+    k = draw(st.integers(1, n + 2))
+    return rows, queries.astype(np.float64), k
+
+
+class TestTieBreaking:
+    """Both indexes return the lowest row ids among rows tied with the
+    k-th score, the order a full (score desc, row id asc) sort gives."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(tied_tables(), st.integers(1, 50))
+    def test_brute_force_matches_full_sort(self, table, row_chunk):
+        rows, queries, k = table
+        want = _oracle_top_k(queries @ rows.T, min(k, len(rows)))
+        got = BruteForceIndex(rows, metric="dot", row_chunk=row_chunk).search(
+            queries, k
+        )
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+    @settings(max_examples=60, deadline=None)
+    @given(tied_tables(), st.integers(1, 8), st.integers(1, 4))
+    def test_ivf_matches_full_sort_of_its_candidates(
+        self, table, nlist, nprobe
+    ):
+        rows, queries, k = table
+        fast = IVFIndex(rows, metric="dot", nlist=nlist, seed=0)
+        oracle = OracleIVFIndex(rows, metric="dot", nlist=nlist, seed=0)
+        for g, w in zip(
+            fast.search(queries, k, nprobe=nprobe),
+            oracle.search(queries, k, nprobe=nprobe),
+        ):
+            assert np.array_equal(g, w)
+        exact = fast.search(queries, k, nprobe=fast.nlist)
+        want = _oracle_top_k(queries @ rows.T, min(k, len(rows)))
+        for g, w in zip(exact, want):
+            assert np.array_equal(g, w)
 
 
 class TestHelpers:

@@ -112,6 +112,21 @@ class TestTrainAndEval:
                 "--method", "gnn9000",
             ])
 
+    @pytest.mark.parametrize(
+        "name", ["het-node2vec", "spacey", "relation-balanced"]
+    )
+    def test_removed_walk_policy_lists_remaining(self, toy_files, tmp_path, name):
+        from repro.walks import POLICY_NAMES
+
+        graph_path, _ = toy_files
+        with pytest.raises(SystemExit, match="unknown walk_policy") as error:
+            main([
+                "train", str(graph_path),
+                "--out", str(tmp_path / "e.txt"),
+                "--walk-policy", name,
+            ])
+        assert all(kept in str(error.value) for kept in POLICY_NAMES)
+
     def test_classify(self, toy_files, capsys):
         graph_path, labels_path = toy_files
         assert main([

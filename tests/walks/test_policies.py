@@ -5,31 +5,21 @@ Every policy's batched sampler is checked against its own exact
 the scalar :class:`ReferenceWalker` samples from that same ``slot_probs``,
 batched/scalar equivalence holds *by construction*: there is exactly one
 implementation of each transition formula to test.  The remaining tests
-cover the policy registry, corpus integration
-(``count_scale``, start restriction), and the BHIN2vec-style
-:class:`RelationBalancer` loop callback.
+cover the policy registry and corpus integration (start restriction).
 """
-
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from repro.core import TransN, TransNConfig
-from repro.datasets import type_imbalanced_graph
-from repro.engine import RelationBalancer
-from repro.engine.observability import MetricsRegistry
 from repro.graph import HeteroGraph, separate_views
 from repro.walks import (
     POLICY_NAMES,
     BiasedCorrelatedPolicy,
-    HetNode2VecPolicy,
     LockstepWalker,
     MetapathPolicy,
     Node2VecPolicy,
     ReferenceWalker,
-    SpaceyMetapathPolicy,
     UniformPolicy,
     build_corpus,
     make_policy,
@@ -132,9 +122,7 @@ def _policy_factories(metapath=("A", "B", "A")):
         "uniform": lambda: UniformPolicy(),
         "biased": lambda: BiasedCorrelatedPolicy(),
         "node2vec": lambda: Node2VecPolicy(p=0.5, q=2.0),
-        "het-node2vec": lambda: HetNode2VecPolicy(p=0.5, q=2.0, type_switch=3.0),
         "metapath": lambda: MetapathPolicy(list(metapath)),
-        "spacey": lambda: SpaceyMetapathPolicy(list(metapath)),
     }
 
 
@@ -158,9 +146,7 @@ class TestChiSquareFirstStep:
 class TestChiSquareSecondStep:
     """Stateful second-step laws, conditioned on a forced first step."""
 
-    @pytest.mark.parametrize(
-        "name", ["biased", "node2vec", "het-node2vec", "spacey"]
-    )
+    @pytest.mark.parametrize("name", ["biased", "node2vec"])
     def test_second_step_matches_slot_probs(self, name, forced_path, rng):
         view = separate_views(forced_path)[0]
         factories = _policy_factories()
@@ -209,15 +195,7 @@ class TestScalarReference:
 # ----------------------------------------------------------------------
 class TestRegistry:
     def test_policy_names(self):
-        assert POLICY_NAMES == (
-            "biased",
-            "het-node2vec",
-            "metapath",
-            "node2vec",
-            "relation-balanced",
-            "spacey",
-            "uniform",
-        )
+        assert POLICY_NAMES == ("biased", "metapath", "node2vec", "uniform")
 
     def test_make_policy_unknown(self):
         with pytest.raises(ValueError, match="unknown walk policy"):
@@ -227,9 +205,6 @@ class TestRegistry:
         policy = make_policy("node2vec", p=0.5, q=2.0)
         assert isinstance(policy, Node2VecPolicy)
         assert (policy.p, policy.q) == (0.5, 2.0)
-
-    def test_relation_balanced_walks_like_biased(self):
-        assert isinstance(make_policy("relation-balanced"), BiasedCorrelatedPolicy)
 
     def test_rebind_rejected(self, bipartite, academic):
         policy = UniformPolicy().bind(bipartite)
@@ -247,44 +222,7 @@ class TestRegistry:
 
 
 # ----------------------------------------------------------------------
-# het-node2vec: the type_switch knob
-# ----------------------------------------------------------------------
-class TestHetNode2Vec:
-    def _mixed_graph(self):
-        g = HeteroGraph()
-        g.add_node("c", "A")
-        g.add_node("same", "A")
-        g.add_node("other", "B")
-        g.add_edge("c", "same", "e", weight=1.0)
-        g.add_edge("c", "other", "e", weight=1.0)
-        g.add_edge("same", "other", "e", weight=1.0)
-        return g
-
-    def test_switch_boosts_cross_type(self):
-        g = self._mixed_graph()
-        c = g.index_of("c")
-        neutral = _node_law(HetNode2VecPolicy(type_switch=1.0).bind(g), c)
-        boosted = _node_law(HetNode2VecPolicy(type_switch=4.0).bind(g), c)
-        other = g.index_of("other")
-        assert neutral[other] == pytest.approx(0.5)
-        assert boosted[other] == pytest.approx(4.0 / 5.0)
-
-    def test_neutral_switch_matches_node2vec(self):
-        g = self._mixed_graph()
-        c = g.index_of("c")
-        het = _node_law(
-            HetNode2VecPolicy(p=0.5, q=2.0, type_switch=1.0).bind(g), c
-        )
-        plain = _node_law(Node2VecPolicy(p=0.5, q=2.0).bind(g), c)
-        assert het == pytest.approx(plain)
-
-    def test_validates_type_switch(self):
-        with pytest.raises(ValueError, match="type_switch"):
-            HetNode2VecPolicy(type_switch=0.0)
-
-
-# ----------------------------------------------------------------------
-# metapath + spacey
+# metapath
 # ----------------------------------------------------------------------
 class TestMetapathPolicy:
     def test_walks_follow_type_sequence(self, academic, rng):
@@ -332,51 +270,6 @@ class TestMetapathPolicy:
             MetapathPolicy(["venue", "paper", "venue"]).bind(academic)
 
 
-class TestSpaceyPolicy:
-    def test_occupancy_reinforces_visited_types(self, forced_path):
-        """A walk that has dwelt on type A tilts toward A-typed candidates.
-
-        With occupancy (A=3, B=1) and reinforcement 1, A candidates get
-        factor 4 and B candidates factor 2 over their raw edge weights.
-        m's neighbours: u(A, w=2), v1(A, 1), v2(A, 5), n(B, 3).
-        """
-        view = separate_views(forced_path)[0]
-        graph = view.graph
-        policy = SpaceyMetapathPolicy(reinforcement=1.0).bind(view)
-        state = {"occupancy": np.array([[3.0, 1.0]])}  # types sorted: A, B
-        law = _node_law(policy, graph.index_of("m"), state)
-        expected_n = 3.0 * 2.0 / ((2.0 + 1.0 + 5.0) * 4.0 + 3.0 * 2.0)
-        assert law[graph.index_of("n")] == pytest.approx(expected_n)
-        assert expected_n < 3.0 / 11.0  # shrunk vs. the raw weight share
-
-    def test_zero_reinforcement_matches_edge_weights(self, forced_path):
-        view = separate_views(forced_path)[0]
-        graph = view.graph
-        policy = SpaceyMetapathPolicy(reinforcement=0.0).bind(view)
-        u, m = graph.index_of("u"), graph.index_of("m")
-        state = _advanced_state(policy, u, slot=0)
-        law = _node_law(policy, m, state)
-        # m's incident weights: u=2, v1=1, v2=5, n=3 -> total 11
-        assert law[graph.index_of("v2")] == pytest.approx(5.0 / 11.0)
-
-    def test_fallback_keeps_walks_alive(self, rng):
-        """A node with no metapath-admissible neighbour still advances."""
-        g = HeteroGraph()
-        g.add_node("a", "A")
-        g.add_node("m", "B")
-        g.add_node("n", "B")
-        g.add_edge("a", "m", "e")
-        g.add_edge("m", "n", "e")
-        walker = LockstepWalker(
-            g, SpaceyMetapathPolicy(["A", "B", "A"]), rng=rng
-        )
-        starts = np.full(64, g.index_of("n"), dtype=np.int64)
-        # n's only neighbour is B-typed; admissible successor of B is A
-        matrix, lengths = walker.walk_batch(starts, 4)
-        assert (lengths == 4).all()
-        assert (matrix[:, 1] == g.index_of("m")).all()
-
-
 # ----------------------------------------------------------------------
 # corpus integration
 # ----------------------------------------------------------------------
@@ -390,30 +283,6 @@ class TestCorpusIntegration:
         )
         assert corpus.matrix.shape[1] == 5
 
-    def test_count_scale_scales_walks(self, academic):
-        base = build_corpus(
-            academic, UniformPolicy(), length=5, rng=np.random.default_rng(0)
-        )
-        doubled = build_corpus(
-            academic,
-            UniformPolicy(),
-            length=5,
-            rng=np.random.default_rng(0),
-            count_scale=2.0,
-        )
-        assert doubled.matrix.shape[0] == 2 * base.matrix.shape[0]
-
-    def test_count_scale_floor_is_one_walk(self, academic):
-        tiny = build_corpus(
-            academic,
-            UniformPolicy(),
-            length=5,
-            rng=np.random.default_rng(0),
-            count_scale=1e-6,
-        )
-        # every positive-degree node still contributes at least one walk
-        assert tiny.matrix.shape[0] == academic.num_nodes
-
     def test_start_restriction_applied(self, academic):
         corpus = build_corpus(
             academic,
@@ -423,68 +292,3 @@ class TestCorpusIntegration:
         )
         papers = {academic.index_of("P1"), academic.index_of("P2")}
         assert set(corpus.matrix[:, 0].tolist()) <= papers
-
-
-# ----------------------------------------------------------------------
-# relation balancing
-# ----------------------------------------------------------------------
-class _FakeTrainer:
-    def __init__(self, edge_type):
-        self.view = SimpleNamespace(edge_type=edge_type)
-        self.walk_scale = 1.0
-
-
-class TestRelationBalancer:
-    def _loop(self, metrics):
-        return SimpleNamespace(metrics=metrics)
-
-    def test_scales_follow_relative_loss(self):
-        metrics = MetricsRegistry()
-        metrics.observe("single_view/AA/loss", 2.0)
-        metrics.observe("single_view/AB/loss", 1.0)
-        lagging, leading = _FakeTrainer("AA"), _FakeTrainer("AB")
-        RelationBalancer([lagging, leading]).on_epoch_end(
-            self._loop(metrics), 0, {}
-        )
-        assert lagging.walk_scale == pytest.approx(2.0 / 1.5)
-        assert leading.walk_scale == pytest.approx(1.0 / 1.5)
-        assert metrics.gauges["balance/AA/walk_scale"] == lagging.walk_scale
-
-    def test_clipped_to_bounds(self):
-        metrics = MetricsRegistry()
-        metrics.observe("single_view/AA/loss", 9.0)
-        metrics.observe("single_view/AB/loss", 1.0)
-        lagging, leading = _FakeTrainer("AA"), _FakeTrainer("AB")
-        # raw ratios are 1.8 and 0.2; both land outside the bounds
-        RelationBalancer(
-            [lagging, leading], min_scale=0.5, max_scale=1.5
-        ).on_epoch_end(self._loop(metrics), 0, {})
-        assert lagging.walk_scale == 1.5
-        assert leading.walk_scale == 0.5
-
-    def test_single_view_is_noop(self):
-        metrics = MetricsRegistry()
-        metrics.observe("single_view/AA/loss", 2.0)
-        only = _FakeTrainer("AA")
-        RelationBalancer([only]).on_epoch_end(self._loop(metrics), 0, {})
-        assert only.walk_scale == 1.0
-
-    def test_validates_arguments(self):
-        with pytest.raises(ValueError, match="strength"):
-            RelationBalancer([], strength=-1.0)
-        with pytest.raises(ValueError, match="min_scale"):
-            RelationBalancer([], min_scale=0.0)
-
-    def test_end_to_end_transn_balancing(self):
-        graph, _ = type_imbalanced_graph(num_items=16, seed=3)
-        config = TransNConfig(
-            dim=8,
-            seed=0,
-            num_iterations=2,
-            walk_policy="relation-balanced",
-        )
-        model = TransN(graph, config)
-        model.fit()
-        scales = [t.walk_scale for t in model.single_trainers]
-        assert any(s != 1.0 for s in scales)
-        assert all(0.25 <= s <= 4.0 for s in scales)
