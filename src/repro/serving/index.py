@@ -72,13 +72,15 @@ def _stable_top_k(
     n = scores.shape[1]
     k = min(k, n)
     if k < n:
-        candidates = np.argpartition(scores, n - k, axis=1)[:, n - k :]
-        # the first candidate holds the k-th score.  argpartition keeps
-        # an arbitrary subset of the scores tied with it; where it left
-        # one out, redo the row: every score above the k-th, then the
-        # lowest columns among the ties
-        kth = np.take_along_axis(scores, candidates[:, :1], axis=1)
-        short = (scores >= kth).sum(axis=1) > k
+        # the k-th and (k+1)-th scores land at columns n-k and n-k-1.
+        # Where they tie, argpartition kept an arbitrary subset of the
+        # tied scores: redo the row, every score above the k-th, then
+        # the lowest columns among the ties
+        part = np.argpartition(scores, (n - k - 1, n - k), axis=1)
+        candidates = part[:, n - k :]
+        kth = np.take_along_axis(scores, part[:, n - k : n - k + 1], axis=1)
+        after = np.take_along_axis(scores, part[:, n - k - 1 : n - k], axis=1)
+        short = (after == kth)[:, 0]
         if short.any():
             above = scores[short] > kth[short]
             tied = scores[short] == kth[short]
@@ -300,11 +302,13 @@ class IVFIndex:
             )
             rows = np.concatenate([self._cell_ids[c] for c in cells])
             if k < size:
-                picked = np.argpartition(scores, size - k)[size - k :]
+                part = np.argpartition(scores, (size - k - 1, size - k))
+                picked = part[size - k :]
                 kth = scores[picked[0]]
-                if np.count_nonzero(scores >= kth) > k:
-                    # argpartition left out some of the scores tied
-                    # with the k-th: keep the lowest row ids among them
+                if scores[part[size - k - 1]] == kth:
+                    # the (k+1)-th score ties the k-th, so argpartition
+                    # kept an arbitrary subset of the tied scores: keep
+                    # the lowest row ids among them
                     above = np.flatnonzero(scores > kth)
                     tied = np.flatnonzero(scores == kth)
                     tied = tied[np.argsort(rows[tied])[: k - above.size]]
