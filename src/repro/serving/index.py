@@ -64,6 +64,17 @@ def _as_queries(queries: np.ndarray, dim: int, metric: str) -> np.ndarray:
     return _normalize_rows(queries) if metric == "cosine" else queries
 
 
+def _tied_top_k(scores: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the top ``k`` of 1-D ``scores`` in the (score desc,
+    id asc) order: every score above the k-th, then the lowest ``ids``
+    among the scores tied with it.  The slow path for the rare rows
+    where a tie crosses the k-th place."""
+    kth = np.partition(scores, scores.size - k)[scores.size - k]
+    above = np.flatnonzero(scores > kth)
+    tied = np.flatnonzero(scores == kth)
+    return np.concatenate([above, tied[np.argsort(ids[tied])[: k - above.size]]])
+
+
 def _stable_top_k(
     scores: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -71,35 +82,30 @@ def _stable_top_k(
     lower column index; returns ``(indices, scores)`` sorted descending."""
     n = scores.shape[1]
     k = min(k, n)
-    if k < n:
-        # the k-th and (k+1)-th scores land at columns n-k and n-k-1.
-        # Where they tie, argpartition kept an arbitrary subset of the
-        # tied scores: redo the row, every score above the k-th, then
-        # the lowest columns among the ties
-        part = np.argpartition(scores, (n - k - 1, n - k), axis=1)
-        candidates = part[:, n - k :]
-        kth = np.take_along_axis(scores, part[:, n - k : n - k + 1], axis=1)
-        after = np.take_along_axis(scores, part[:, n - k - 1 : n - k], axis=1)
-        short = (after == kth)[:, 0]
-        if short.any():
-            above = scores[short] > kth[short]
-            tied = scores[short] == kth[short]
-            room = k - above.sum(axis=1, keepdims=True)
-            keep = above | (tied & (np.cumsum(tied, axis=1) <= room))
-            candidates[short] = np.nonzero(keep)[1].reshape(-1, k)
-        picked = np.take_along_axis(scores, candidates, axis=1)
+    # one candidate more than k: where the k-th and (k+1)-th scores tie,
+    # argpartition kept an arbitrary subset of the tied columns
+    width = min(k + 1, n)
+    if width < n:
+        candidates = np.argpartition(scores, n - width, axis=1)[:, n - width :]
     else:
         candidates = np.broadcast_to(
             np.arange(n), scores.shape
         ).copy()
-        picked = scores
+    picked = np.take_along_axis(scores, candidates, axis=1)
     # lexsort per row: primary -score, secondary candidate index
     order = np.lexsort(
         (candidates, -picked), axis=1
     )
     top_idx = np.take_along_axis(candidates, order, axis=1)
     top_scores = np.take_along_axis(picked, order, axis=1)
-    return top_idx, top_scores
+    if width < n:
+        columns = np.arange(n)
+        for row in np.flatnonzero(top_scores[:, k - 1] == top_scores[:, k]):
+            keep = _tied_top_k(scores[row], columns, k)
+            keep = keep[np.lexsort((keep, -scores[row, keep]))]
+            top_idx[row, :k] = keep
+            top_scores[row, :k] = scores[row, keep]
+    return top_idx[:, :k], top_scores[:, :k]
 
 
 class BruteForceIndex:
@@ -261,6 +267,15 @@ class IVFIndex:
         """Members per cell (diagnostics; sums to ``num_rows``)."""
         return self._cell_ends - self._cell_starts
 
+    def _score_cells(
+        self, cells: list[int], query: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The ids of the rows in ``cells`` and their scores against
+        ``query``: one GEMV over the cells' blocks, in probe order."""
+        rows = np.concatenate([self._cell_ids[c] for c in cells])
+        scores = np.concatenate([self._cell_rows[c] for c in cells]) @ query
+        return rows, scores
+
     def search(
         self, queries: np.ndarray, k: int, nprobe: int | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -283,9 +298,16 @@ class IVFIndex:
             axis=1,
         )
 
+        # one column more than k: a query whose k-th and (k+1)-th scores
+        # tie is redone below, since argpartition kept an arbitrary
+        # subset of the tied rows; -inf marks a query with only k
+        # candidates, which has no (k+1)-th
         num_queries = queries.shape[0]
-        out_idx = np.empty((num_queries, k), dtype=np.int64)
-        out_scores = np.empty((num_queries, k), dtype=self._base.dtype)
+        out_idx = np.empty((num_queries, k + 1), dtype=np.int64)
+        out_scores = np.full(
+            (num_queries, k + 1), -np.inf, dtype=self._base.dtype
+        )
+        probed = []
         scanned = 0
         for qi, rank in enumerate(cell_rank.tolist()):
             probes = nprobe
@@ -296,31 +318,27 @@ class IVFIndex:
                     break
                 probes = min(probes * 2, self.nlist)
             scanned += size
-            scores = (
-                np.concatenate([self._cell_rows[c] for c in cells])
-                @ queries[qi]
-            )
-            rows = np.concatenate([self._cell_ids[c] for c in cells])
+            probed.append(cells)
+            rows, scores = self._score_cells(cells, queries[qi])
             if k < size:
-                part = np.argpartition(scores, (size - k - 1, size - k))
-                picked = part[size - k :]
-                kth = scores[picked[0]]
-                if scores[part[size - k - 1]] == kth:
-                    # the (k+1)-th score ties the k-th, so argpartition
-                    # kept an arbitrary subset of the tied scores: keep
-                    # the lowest row ids among them
-                    above = np.flatnonzero(scores > kth)
-                    tied = np.flatnonzero(scores == kth)
-                    tied = tied[np.argsort(rows[tied])[: k - above.size]]
-                    picked = np.concatenate([above, tied])
+                picked = np.argpartition(scores, size - k - 1)[size - k - 1 :]
                 rows, scores = rows[picked], scores[picked]
             # candidate rows are unique, so (score desc, row id) is a
             # total order: the same one brute force returns
             order = np.lexsort((rows, -scores))
-            out_idx[qi] = rows[order]
-            out_scores[qi] = scores[order]
+            out_idx[qi, : order.size] = rows[order]
+            out_scores[qi, : order.size] = scores[order]
+        for qi in np.flatnonzero(out_scores[:, k - 1] == out_scores[:, k]):
+            rows, scores = self._score_cells(probed[qi], queries[qi])
+            keep = _tied_top_k(scores, rows, k)
+            order = np.lexsort((rows[keep], -scores[keep]))
+            out_idx[qi, :k] = rows[keep][order]
+            out_scores[qi, :k] = scores[keep][order]
         self.rows_scored = scanned
-        return out_idx, out_scores
+        return (
+            np.ascontiguousarray(out_idx[:, :k]),
+            np.ascontiguousarray(out_scores[:, :k]),
+        )
 
 
 def recall_at_k(
