@@ -300,13 +300,10 @@ class IVFIndex:
 
         # one column more than k: a query whose k-th and (k+1)-th scores
         # tie is redone below, since argpartition kept an arbitrary
-        # subset of the tied rows; -inf marks a query with only k
-        # candidates, which has no (k+1)-th
+        # subset of the tied rows
         num_queries = queries.shape[0]
         out_idx = np.empty((num_queries, k + 1), dtype=np.int64)
-        out_scores = np.full(
-            (num_queries, k + 1), -np.inf, dtype=self._base.dtype
-        )
+        out_scores = np.empty((num_queries, k + 1), dtype=self._base.dtype)
         probed = []
         scanned = 0
         for qi, rank in enumerate(cell_rank.tolist()):
@@ -320,14 +317,19 @@ class IVFIndex:
             scanned += size
             probed.append(cells)
             rows, scores = self._score_cells(cells, queries[qi])
+            # candidate rows are unique, so (score desc, row id) is a
+            # total order: the same one brute force returns
             if k < size:
                 picked = np.argpartition(scores, size - k - 1)[size - k - 1 :]
                 rows, scores = rows[picked], scores[picked]
-            # candidate rows are unique, so (score desc, row id) is a
-            # total order: the same one brute force returns
-            order = np.lexsort((rows, -scores))
-            out_idx[qi, : order.size] = rows[order]
-            out_scores[qi, : order.size] = scores[order]
+                order = np.lexsort((rows, -scores))
+                out_idx[qi] = rows[order]
+                out_scores[qi] = scores[order]
+            else:  # exactly k candidates: there is no (k+1)-th
+                order = np.lexsort((rows, -scores))
+                out_idx[qi, :k] = rows[order]
+                out_scores[qi, :k] = scores[order]
+                out_scores[qi, k] = -np.inf
         for qi in np.flatnonzero(out_scores[:, k - 1] == out_scores[:, k]):
             rows, scores = self._score_cells(probed[qi], queries[qi])
             keep = _tied_top_k(scores, rows, k)
