@@ -39,11 +39,11 @@ sys.path.insert(0, str(BENCH_DIR))
 
 from repro.core import TransN  # noqa: E402
 from repro.eval import run_link_prediction, run_node_classification  # noqa: E402
-from repro.eval.link_prediction import make_split  # noqa: E402
 from repro.eval.methods import TransNMethod  # noqa: E402
 from repro.walks import POLICY_NAMES  # noqa: E402
 
 METRICS = ("macro_f1", "micro_f1", "auc")
+BASELINE = "biased"
 
 
 def measure(graph, labels, config) -> dict:
@@ -54,9 +54,9 @@ def measure(graph, labels, config) -> dict:
     classification = run_node_classification(
         model.embeddings(), labels, repeats=10, seed=config.seed
     )
-    split = make_split(graph, removal_fraction=0.4, seed=config.seed)
     link = run_link_prediction(
-        lambda: TransNMethod(config), graph, split=split
+        lambda: TransNMethod(config), graph, removal_fraction=0.4,
+        seed=config.seed,
     )
     return {
         "macro_f1": classification.macro_f1,
@@ -66,8 +66,8 @@ def measure(graph, labels, config) -> dict:
     }
 
 
-def verdicts(rows: list[dict], baseline: str = "biased") -> dict:
-    """Per policy: the (dataset, metric) cells where it beats ``baseline``.
+def verdicts(rows: list[dict]) -> dict:
+    """Per policy: the (dataset, metric) cells where it beats ``biased``.
 
     A cell counts when the policy's mean beats the baseline's by more
     than the larger of the two sample standard deviations (ddof=1).
@@ -80,9 +80,9 @@ def verdicts(rows: list[dict], baseline: str = "biased") -> dict:
     wins: dict[str, list[str]] = {}
     for (policy, dataset, metric), values in cells.items():
         wins.setdefault(policy, [])
-        if policy == baseline:
+        if policy == BASELINE:
             continue
-        base = cells[(baseline, dataset, metric)]
+        base = cells[(BASELINE, dataset, metric)]
         spread = max(np.std(values, ddof=1), np.std(base, ddof=1))
         if np.mean(values) - np.mean(base) > spread:
             wins[policy].append(f"{dataset}/{metric}")
@@ -124,7 +124,7 @@ def render(rows: list[dict], wins: dict) -> str:
         "Beats biased by more than the larger std on:",
     ]
     for policy, cells in wins.items():
-        if policy != "biased":
+        if policy != BASELINE:
             lines.append(f"  {policy:18s} {', '.join(cells) or 'nothing'}")
     return "\n".join(lines) + "\n"
 
@@ -137,14 +137,6 @@ def main(argv: list[str] | None = None) -> None:
         help="scaled-down networks, two iterations, seed 0; no table",
     )
     parser.add_argument(
-        "--policies",
-        help="comma-separated walk policies (default: every POLICY_NAMES "
-        "entry)",
-    )
-    parser.add_argument(
-        "--seeds", default="0,1,2", help="comma-separated seeds"
-    )
-    parser.add_argument(
         "--json", type=Path, help="also write the per-seed rows as JSON"
     )
     args = parser.parse_args(argv)
@@ -153,16 +145,11 @@ def main(argv: list[str] | None = None) -> None:
         os.environ["REPRO_BENCH_FAST"] = "1"
     from conftest import RESULTS_DIR, bench_transn_config, load_datasets
 
-    policies = (
-        args.policies.split(",") if args.policies else list(POLICY_NAMES)
-    )
-    if "biased" not in policies:
-        policies.insert(0, "biased")
-    seeds = [0] if args.fast else [int(s) for s in args.seeds.split(",")]
+    seeds = (0,) if args.fast else (0, 1, 2)
 
     rows = []
     for dataset, (graph, labels) in load_datasets().items():
-        for policy in policies:
+        for policy in POLICY_NAMES:
             for seed in seeds:
                 config = dataclasses.replace(
                     bench_transn_config(seed=seed), walk_policy=policy
@@ -177,12 +164,12 @@ def main(argv: list[str] | None = None) -> None:
                     flush=True,
                 )
 
-    wins = verdicts(rows) if len(seeds) > 1 else {}
+    wins = {} if args.fast else verdicts(rows)
     if args.json is not None:
         payload = {
             "benchmark": "walk_policies",
             "fast_mode": args.fast,
-            "policies": policies,
+            "policies": list(POLICY_NAMES),
             "rows": rows,
             "wins": wins,
         }
