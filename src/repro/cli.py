@@ -581,11 +581,18 @@ def _add_method_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_serving_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("store", help="a TNEMB1 binary embedding store")
     parser.add_argument(
         "--top-k",
-        type=int,
+        type=_positive_int,
         default=10,
         help="neighbors returned per query (default 10)",
     )

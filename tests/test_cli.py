@@ -392,6 +392,8 @@ class TestServingSurface:
         document = load_report(report)
         assert document["metadata"]["command"] == "query"
         assert document["metrics"]["counters"]["serving/queries"] == 6.0
+        assert document["metrics"]["counters"]["serving/topk_cache_hits"] == 0
+        assert document["metrics"]["counters"]["serving/topk_cache_misses"] == 6
         assert "serving/latency_p99_ms" in document["metrics"]["gauges"]
 
     def test_serve_reads_stdin(self, trained_store, capsys, monkeypatch):
@@ -409,6 +411,35 @@ class TestServingSurface:
         rows = [l.split("\t") for l in captured.out.strip().splitlines()]
         assert len(rows) == 2 and rows[0][0] == node
         assert "served 1 queries (1 errors)" in captured.err
+
+    def test_serve_repeats_are_cache_hits(
+        self, trained_store, tmp_path, capsys, monkeypatch
+    ):
+        import io
+
+        _, out, store_path = trained_store
+        first, second = list(load_embeddings(out))[:2]
+        monkeypatch.setattr(
+            "sys.stdin", io.StringIO(f"{first}\n{second}\n{first}\n{first}\n")
+        )
+        report = tmp_path / "serve.json"
+        assert main([
+            "serve", str(store_path), "--top-k", "3", "--report", str(report),
+        ]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        answers = [lines[i : i + 3] for i in range(0, len(lines), 3)]
+        assert answers[2] == answers[0] and answers[3] == answers[0]
+        counters = load_report(report)["metrics"]["counters"]
+        assert counters["serving/topk_cache_hits"] == 2
+        assert counters["serving/topk_cache_misses"] == 2
+
+    @pytest.mark.parametrize("command", ["query", "serve"])
+    def test_top_k_below_one_rejected_at_parse_time(
+        self, trained_store, command, capsys
+    ):
+        with pytest.raises(SystemExit):
+            main([command, str(trained_store[2]), "--top-k", "0"])
+        assert "--top-k: must be >= 1, got 0" in capsys.readouterr().err
 
     def test_query_requires_a_store_argument(self):
         with pytest.raises(SystemExit):
